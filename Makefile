@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-json race verify bench bench-blas \
+.PHONY: build test vet fmt lint lint-json race verify bench bench-blas \
 	bench-blas-check bench-blas-smoke bench-campaign bench-campaign-check \
 	bench-campaign-smoke bench-factor bench-factor-check cross-arm64 \
 	plan-golden-smoke profile results
@@ -10,6 +10,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails if any tracked Go file is not gofmt-formatted. Analyzer golden
+# testdata is exempt: its layout is part of what the golden tests pin.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go' | grep -v '/testdata/')); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # lint runs the project's invariant analyzers (determinism, maporder,
 # outputpurity, goroutines, layering, floatorder, hotpath — see DESIGN.md
@@ -33,13 +39,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# verify is the pre-commit gate: compile, vet, the invariant analyzers,
-# the race-enabled suite, the build-only benchmark smoke, a sub-second
-# run of the campaign-throughput mode, the factorization-sweep identity
-# gate, the golden tile-plan check, and the arm64 cross-compile (the NEON
-# kernels have no native CI runner, so assemble+vet is their regression
-# gate).
-verify: build vet lint race bench-blas-smoke bench-campaign-smoke \
+# verify is the pre-commit gate: compile, vet, the gofmt check, the
+# invariant analyzers, the race-enabled suite, the build-only benchmark
+# smoke, a sub-second run of the campaign-throughput mode, the
+# factorization-sweep identity gate, the golden tile-plan check, and the
+# arm64 cross-compile (the NEON kernels have no native CI runner, so
+# assemble+vet is their regression gate).
+verify: build vet fmt lint race bench-blas-smoke bench-campaign-smoke \
 	bench-factor-check plan-golden-smoke cross-arm64
 
 bench:

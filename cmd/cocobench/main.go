@@ -278,7 +278,6 @@ type campaignPhases struct {
 // wall-clock numbers may differ.
 type campaignRow struct {
 	Workers       int             `json:"workers"`
-	IntraCell     bool            `json:"intra_cell"`
 	Passes        int             `json:"passes"`
 	Cells         int             `json:"cells"`
 	Events        int64           `json:"events"`
@@ -294,18 +293,14 @@ type campaignRow struct {
 
 // campaignReport is the JSON schema of results/bench-campaign.json.
 // Reference is the committed-baseline configuration (single worker,
-// sequential engine, per-phase timing); Sweep varies workers and the
-// intra-cell engine over the same work-list; Normalized demonstrates
-// geometry-normalized plan keys on a mirror-symmetric work-list (its hit
-// rate exceeds the reference work-list's 2/3 because mirrored cells share
-// one canonical plan).
+// per-phase timing); Sweep varies the worker count over the same
+// work-list.
 type campaignReport struct {
-	Testbed    string        `json:"testbed"`
-	GOGC       int           `json:"gogc"`
-	Reps       int           `json:"reps"`
-	Reference  campaignRow   `json:"reference"`
-	Sweep      []campaignRow `json:"sweep"`
-	Normalized *campaignRow  `json:"normalized,omitempty"`
+	Testbed   string        `json:"testbed"`
+	GOGC      int           `json:"gogc"`
+	Reps      int           `json:"reps"`
+	Reference campaignRow   `json:"reference"`
+	Sweep     []campaignRow `json:"sweep"`
 }
 
 // campaignCells builds the benchmark's timing-only work-list: a tile-size
@@ -382,51 +377,11 @@ const campaignGOGC = 800
 // execution-order dependence and break the cross-worker counter pin.
 const campaignPlanBudget = 1 << 22
 
-// normalizedCells builds the mirror-symmetric demo work-list: rectangular
-// gemm cells paired with their transpose mirrors (M and N exchanged, A and
-// B locations exchanged). With NormalizeKeys both orientations fold onto
-// one canonical plan — 1 miss and 5 hits per pair at 3 reps (83% hit rate)
-// instead of the 2/3 a distinct-shape work-list is capped at.
-func normalizedCells(smoke bool) []eval.MeasureCell {
-	type shape struct{ m, n, k int }
-	shapes := []shape{{4096, 2048, 2048}, {2048, 1024, 4096}, {8192, 2048, 1024}}
-	tiles := []int{256, 512}
-	if smoke {
-		shapes = []shape{{1024, 512, 512}}
-		tiles = []int{256}
-	}
-	locPairs := [][]model.Loc{
-		{model.OnHost, model.OnHost, model.OnHost},
-		{model.OnDevice, model.OnHost, model.OnHost},
-	}
-	var cells []eval.MeasureCell
-	for _, s := range shapes {
-		for _, locs := range locPairs {
-			p := eval.Problem{
-				Routine: "dgemm", Dtype: kernelmodel.F64, M: s.m, N: s.n, K: s.k,
-				Locs: append([]model.Loc(nil), locs...), Tag: "mirror",
-			}
-			q := eval.Problem{
-				Routine: "dgemm", Dtype: kernelmodel.F64, M: s.n, N: s.m, K: s.k,
-				Locs: []model.Loc{locs[1], locs[0], locs[2]}, Tag: "mirror",
-			}
-			for _, T := range tiles {
-				cells = append(cells,
-					eval.MeasureCell{Lib: eval.LibCoCoPeLia, P: p, T: T},
-					eval.MeasureCell{Lib: eval.LibCoCoPeLia, P: q, T: T})
-			}
-		}
-	}
-	return cells
-}
-
 // rowConfig parameterizes one measured campaign row.
 type rowConfig struct {
-	workers   int
-	intra     bool
-	passes    int
-	phases    bool
-	normalize bool
+	workers int
+	passes  int
+	phases  bool
 }
 
 // runRow measures one campaign configuration over the work-list: passes
@@ -443,15 +398,10 @@ func runRow(tb *machine.Testbed, cells []eval.MeasureCell, cfg rowConfig) (campa
 	var best campaignRow
 	for pass := 0; pass < cfg.passes; pass++ {
 		r := eval.NewRunner(tb)
-		r.IntraCell = cfg.intra
-		r.NormalizeKeys = cfg.normalize
 		// Hold every plan of the sweep (no eviction): eviction outcomes are
 		// execution-order dependent, and the sweep pins its plan-cache
 		// counters byte-identical across worker counts.
 		r.PlanOpsBudget = campaignPlanBudget
-		if cfg.intra && cfg.workers > 1 {
-			r.Drain = parallel.NewPool(cfg.workers)
-		}
 		if cfg.phases {
 			r.Clock = time.Now
 		}
@@ -479,7 +429,7 @@ func runRow(tb *machine.Testbed, cells []eval.MeasureCell, cfg rowConfig) (campa
 
 		hits, misses, evictions := r.PlanCacheStats()
 		row := campaignRow{
-			Workers: cfg.workers, IntraCell: cfg.intra, Passes: cfg.passes,
+			Workers: cfg.workers, Passes: cfg.passes,
 			Cells:  len(cells),
 			Events: r.EventsProcessed(), WallSeconds: wall,
 			CellsPerSec: float64(len(cells)) / wall, EventsPerSec: float64(r.EventsProcessed()) / wall,
@@ -514,17 +464,16 @@ func sameOutcome(a, b campaignRow) bool {
 
 // logRow prints one row's throughput line.
 func logRow(tag string, row campaignRow) {
-	log.Printf("campaign[%s]: workers=%d intra=%-5v %d cells, %d events in %.2fs  (%.1f cells/s, %.3g events/s)",
-		tag, row.Workers, row.IntraCell, row.Cells, row.Events, row.WallSeconds, row.CellsPerSec, row.EventsPerSec)
+	log.Printf("campaign[%s]: workers=%d %d cells, %d events in %.2fs  (%.1f cells/s, %.3g events/s)",
+		tag, row.Workers, row.Cells, row.Events, row.WallSeconds, row.CellsPerSec, row.EventsPerSec)
 }
 
 // runCampaign measures the DES campaign pipeline — the reference
-// single-worker row with per-phase timing, a workers × intra-cell sweep
-// pinned byte-identical to the reference, and the geometry-normalization
-// demo — and writes the report JSON. With checkPath set it instead
-// compares the reference row against the committed baseline and fails on
-// regression (throughput down more than 15%, or any drift in the simulated
-// counters).
+// single-worker row with per-phase timing and a worker-count sweep pinned
+// byte-identical to the reference — and writes the report JSON. With
+// checkPath set it instead compares the reference row against the
+// committed baseline and fails on regression (throughput down more than
+// 15%, or any drift in the simulated counters).
 func runCampaign(out string, smoke bool, passes int, checkPath string) error {
 	tb := machine.TestbedI()
 	cells := campaignCells(smoke)
@@ -544,19 +493,15 @@ func runCampaign(out string, smoke bool, passes int, checkPath string) error {
 		ref.PlanHits, ref.PlanMisses, ref.PlanEvictions, 100*ref.PlanHitRate)
 
 	rep := campaignReport{Testbed: tb.Name, GOGC: campaignGOGC, Reps: 3, Reference: ref}
-	for _, cfg := range []rowConfig{
-		{workers: 1, intra: true},
-		{workers: 2}, {workers: 2, intra: true},
-		{workers: 8}, {workers: 8, intra: true},
-	} {
+	for _, cfg := range []rowConfig{{workers: 2}, {workers: 8}} {
 		// Sweep rows get the same best-of-passes treatment as the reference:
 		// multi-worker rows on a contended host swing far more than the
 		// phase gate's 20% bound, and a single pass would trip -check on
 		// scheduler noise rather than regressions.
 		cfg.passes = passes
 		// Every sweep row carries its own phase split, so regressions that
-		// only show up under a particular worker or drain configuration are
-		// attributable (and gated by -check) without a bisection run.
+		// only show up at a particular worker count are attributable
+		// without a bisection run.
 		cfg.phases = true
 		row, err := runRow(tb, cells, cfg)
 		if err != nil {
@@ -565,24 +510,12 @@ func runCampaign(out string, smoke bool, passes int, checkPath string) error {
 		logRow("sweep", row)
 		if !sameOutcome(row, ref) {
 			return fmt.Errorf(
-				"campaign not byte-identical at workers=%d intra=%v: events=%d plans=%d/%d/%d, reference events=%d plans=%d/%d/%d",
-				cfg.workers, cfg.intra, row.Events, row.PlanHits, row.PlanMisses, row.PlanEvictions,
+				"campaign not byte-identical at workers=%d: events=%d plans=%d/%d/%d, reference events=%d plans=%d/%d/%d",
+				cfg.workers, row.Events, row.PlanHits, row.PlanMisses, row.PlanEvictions,
 				ref.Events, ref.PlanHits, ref.PlanMisses, ref.PlanEvictions)
 		}
 		rep.Sweep = append(rep.Sweep, row)
 	}
-
-	norm, err := runRow(tb, normalizedCells(smoke), rowConfig{workers: 1, passes: 1, normalize: true, phases: true})
-	if err != nil {
-		return err
-	}
-	logRow("norm", norm)
-	log.Printf("campaign[norm]: plan cache %d hits / %d misses (%.0f%% hit rate, mirror folding)",
-		norm.PlanHits, norm.PlanMisses, 100*norm.PlanHitRate)
-	if norm.PlanHitRate <= 2.0/3.0 {
-		return fmt.Errorf("normalized work-list hit rate %.3f did not beat the 2/3 distinct-shape cap", norm.PlanHitRate)
-	}
-	rep.Normalized = &norm
 
 	if checkPath != "" {
 		return checkCampaign(checkPath, &rep)
@@ -632,8 +565,8 @@ func checkCampaign(path string, rep *campaignReport) error {
 		if row.Workers != 1 {
 			continue
 		}
-		if bl := findSweepRow(base.Sweep, row.Workers, row.IntraCell); bl != nil {
-			tag := fmt.Sprintf("sweep workers=%d intra=%v", row.Workers, row.IntraCell)
+		if bl := findSweepRow(base.Sweep, row.Workers); bl != nil {
+			tag := fmt.Sprintf("sweep workers=%d", row.Workers)
 			if err := phaseGate(tag, row.Phases, bl.Phases); err != nil {
 				return err
 			}
@@ -644,10 +577,10 @@ func checkCampaign(path string, rep *campaignReport) error {
 	return nil
 }
 
-// findSweepRow locates the baseline sweep row with the same configuration.
-func findSweepRow(rows []campaignRow, workers int, intra bool) *campaignRow {
+// findSweepRow locates the baseline sweep row with the same worker count.
+func findSweepRow(rows []campaignRow, workers int) *campaignRow {
 	for i := range rows {
-		if rows[i].Workers == workers && rows[i].IntraCell == intra {
+		if rows[i].Workers == workers {
 			return &rows[i]
 		}
 	}

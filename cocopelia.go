@@ -82,6 +82,11 @@ const (
 	OnDevice = model.OnDevice
 )
 
+// ErrHostWindow is returned when a device upload or read-back is given a
+// host slice that cannot carry the copy: shorter than the device data, or
+// of a different precision than the device buffer.
+var ErrHostWindow = cudart.ErrHostWindow
+
 // TestbedI returns the simulated equivalent of the paper's Testbed I
 // (Tesla K40, PCIe Gen2 x8).
 func TestbedI() *Testbed { return machine.TestbedI() }
@@ -522,7 +527,9 @@ func (l *Library) DtrsmTile(diag byte, m, n int, alpha float64, a, b *Matrix, T 
 // DeviceMatrix allocates a device-resident matrix on the session's GPU,
 // optionally uploading initial host data (a synchronous transfer outside
 // any measured run). Use it to stage the partial-offload scenarios where
-// operands already live in GPU memory.
+// operands already live in GPU memory. data must hold rows*cols elements,
+// and only float64 ("dgemm") matrices take data: an "sgemm" matrix with
+// data returns ErrHostWindow.
 func (l *Library) DeviceMatrix(routine string, rows, cols int, data []float64) (*Matrix, error) {
 	dt := kernelmodel.F64
 	if routine == "sgemm" {
@@ -536,7 +543,7 @@ func (l *Library) DeviceMatrix(routine string, rows, cols int, data []float64) (
 	if data != nil {
 		s := l.rt.NewStream()
 		if _, err := s.MemcpyH2DAsync(buf, 0, data, nil, int64(rows)*int64(cols)); err != nil {
-			return nil, err
+			return nil, errors.Join(err, l.rt.Free(buf))
 		}
 		if _, err := l.rt.Sync(); err != nil {
 			return nil, err
@@ -546,7 +553,7 @@ func (l *Library) DeviceMatrix(routine string, rows, cols int, data []float64) (
 }
 
 // DeviceVector allocates a device-resident vector, optionally uploading
-// initial host data.
+// initial host data of at least n elements.
 func (l *Library) DeviceVector(n int, data []float64) (*Vector, error) {
 	buf, err := l.rt.Malloc(kernelmodel.F64, int64(n), data != nil)
 	if err != nil {
@@ -555,7 +562,7 @@ func (l *Library) DeviceVector(n int, data []float64) (*Vector, error) {
 	if data != nil {
 		s := l.rt.NewStream()
 		if _, err := s.MemcpyH2DAsync(buf, 0, data, nil, int64(n)); err != nil {
-			return nil, err
+			return nil, errors.Join(err, l.rt.Free(buf))
 		}
 		if _, err := l.rt.Sync(); err != nil {
 			return nil, err
@@ -565,8 +572,8 @@ func (l *Library) DeviceVector(n int, data []float64) (*Vector, error) {
 }
 
 // ReadDeviceMatrix copies a device-resident matrix back to a host slice
-// (synchronously, outside any measured run). It is a test/inspection aid
-// for functional sessions.
+// of at least Rows*Cols elements (synchronously, outside any measured run).
+// It is a test/inspection aid for functional sessions.
 func (l *Library) ReadDeviceMatrix(m *Matrix, dst []float64) error {
 	if m == nil || m.Loc != model.OnDevice || m.Dev == nil {
 		return errors.New("cocopelia: not a device matrix")

@@ -1,6 +1,7 @@
 package cocopelia
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -196,6 +197,68 @@ func TestDeviceRoundTrip(t *testing.T) {
 	}
 	if err := lib.ReadDeviceMatrix(HostMatrix(2, 2, nil), dst); err == nil {
 		t.Error("reading a host matrix should error")
+	}
+}
+
+// TestDeviceCopyRejectsBadHostSlice feeds the device upload and read-back
+// helpers host slices that cannot carry the copy — too short, or of the
+// wrong precision — and requires ErrHostWindow instead of a panic or a
+// silent no-op. A rejected copy enqueues nothing, so the session's next
+// Sync still succeeds and the staged matrix reads back intact.
+func TestDeviceCopyRejectsBadHostSlice(t *testing.T) {
+	lib := openBacked(t)
+	defer lib.Close()
+	full := make([]float64, 64)
+	for i := range full {
+		full[i] = float64(i)
+	}
+	m8x8, err := lib.DeviceMatrix("dgemm", 8, 8, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"dgemm upload short", func() error {
+			_, err := lib.DeviceMatrix("dgemm", 8, 8, make([]float64, 3))
+			return err
+		}},
+		{"vector upload short", func() error {
+			_, err := lib.DeviceVector(8, make([]float64, 3))
+			return err
+		}},
+		{"read-back short", func() error {
+			return lib.ReadDeviceMatrix(m8x8, make([]float64, 3))
+		}},
+		{"sgemm upload of float64 data", func() error {
+			_, err := lib.DeviceMatrix("sgemm", 8, 8, full)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				return c.call()
+			}()
+			if !errors.Is(err, ErrHostWindow) {
+				t.Fatalf("err = %v, want ErrHostWindow", err)
+			}
+			dst := make([]float64, len(full))
+			if err := lib.ReadDeviceMatrix(m8x8, dst); err != nil {
+				t.Fatalf("session unusable after the rejected copy: %v", err)
+			}
+			for i := range full {
+				if dst[i] != full[i] {
+					t.Fatalf("staged matrix corrupted at %d: %v != %v", i, dst[i], full[i])
+				}
+			}
+		})
 	}
 }
 

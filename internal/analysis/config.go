@@ -41,7 +41,7 @@ type Config struct {
 		// Roots lists functions to treat as hot roots in addition to the
 		// //cocolint:hotpath annotations, by types.Func.FullName — e.g.
 		// "(*cocopelia/internal/sim.Engine).Step" or
-		// "cocopelia/internal/parallel.Fanout".
+		// "(*cocopelia/internal/link.Link).Submit".
 		Roots []string `json:"roots"`
 		// AssumeFree allowlists free-list/pool entry points the fact
 		// propagation treats as allocation-free: functions whose

@@ -6,13 +6,13 @@ import (
 )
 
 // Goroutines confines goroutine creation to the concurrency layer listed
-// in cocolint.json (internal/parallel in this module). The partitioned DES
-// engine's byte-identity guarantee rests on every fan-out flowing through
-// the pool abstractions — bounded workers, deterministic in-order result
-// placement, the sequential fallback at one worker — so an ad-hoc `go`
-// statement elsewhere is unaccounted concurrency the campaigns cannot
-// replay. Code that needs parallelism takes a *parallel.Pool and calls
-// Map, ForEach, or Fanout instead.
+// in cocolint.json (internal/parallel in this module). The campaigns'
+// byte-identity guarantee rests on every fan-out flowing through the pool
+// abstractions — bounded workers, deterministic in-order result placement,
+// the sequential fallback at one worker — so an ad-hoc `go` statement
+// elsewhere is unaccounted concurrency the campaigns cannot replay. Code
+// that needs parallelism takes a *parallel.Pool and calls Map or ForEach
+// instead.
 var Goroutines = &Analyzer{
 	Name: "goroutines",
 	Doc:  "confine goroutine spawns to the declared concurrency layer",
@@ -28,7 +28,7 @@ func runGoroutines(pass *Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				pass.Reportf(g.Pos(),
-					"go statement outside the concurrency layer; fan out through a parallel.Pool (Map/ForEach/Fanout) instead (allowlist: cocolint.json)")
+					"go statement outside the concurrency layer; fan out through a parallel.Pool (Map/ForEach) instead (allowlist: cocolint.json)")
 			}
 			return true
 		})

@@ -4,7 +4,7 @@ package pool
 
 import "sync"
 
-func Fanout(n int, f func(int)) {
+func Spread(n int, f func(int)) {
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := 0; i < n; i++ {

@@ -733,10 +733,38 @@ func memcpyBounds(b *DevBuffer, off, elems int64, what string) error {
 	return nil
 }
 
+// ErrHostWindow reports a 1-D copy whose host side cannot carry the data:
+// the host slice matching the backed buffer's dtype is missing or shorter
+// than the copy.
+var ErrHostWindow = errors.New("cudart: host slice does not cover the copy")
+
+// checkHostWindow validates the host side of a 1-D copy of elems elements
+// to or from buf. Only a copy that builds a host window (see needsWindow)
+// moves data, so only such a copy is checked.
+func checkHostWindow(buf *DevBuffer, hostF64 []float64, hostF32 []float32, elems int64, what string) error {
+	if !needsWindow(buf, hostF64, hostF32) {
+		return nil
+	}
+	have, ok := int64(len(hostF32)), hostF32 != nil
+	if buf.f64 != nil {
+		have, ok = int64(len(hostF64)), hostF64 != nil
+	}
+	if !ok {
+		return fmt.Errorf("%w: %s: no %s host slice for a %s buffer", ErrHostWindow, what, buf.dt, buf.dt)
+	}
+	if have < elems {
+		return fmt.Errorf("%w: %s: host slice of %d elems, copy needs %d", ErrHostWindow, what, have, elems)
+	}
+	return nil
+}
+
 // MemcpyH2DAsync enqueues a 1-D host-to-device copy of elems elements from
 // hostF64/hostF32 (per the buffer dtype) into dst at dstOff.
 func (s *Stream) MemcpyH2DAsync(dst *DevBuffer, dstOff int64, hostF64 []float64, hostF32 []float32, elems int64) (*Event, error) {
 	if err := memcpyBounds(dst, dstOff, elems, "h2d"); err != nil {
+		return nil, err
+	}
+	if err := checkHostWindow(dst, hostF64, hostF32, elems, "h2d"); err != nil {
 		return nil, err
 	}
 	o := s.rt.allocOp(opH2D)
@@ -753,6 +781,9 @@ func (s *Stream) MemcpyH2DAsync(dst *DevBuffer, dstOff int64, hostF64 []float64,
 // MemcpyD2HAsync enqueues a 1-D device-to-host copy.
 func (s *Stream) MemcpyD2HAsync(hostF64 []float64, hostF32 []float32, src *DevBuffer, srcOff, elems int64) (*Event, error) {
 	if err := memcpyBounds(src, srcOff, elems, "d2h"); err != nil {
+		return nil, err
+	}
+	if err := checkHostWindow(src, hostF64, hostF32, elems, "d2h"); err != nil {
 		return nil, err
 	}
 	o := s.rt.allocOp(opD2H)

@@ -94,17 +94,6 @@ func New(eng *sim.Engine, tb *machine.Testbed, seed int64, noiseless bool) *Devi
 		linkRng = rand.New(rand.NewSource(seed ^ 0x5deece66d))
 	}
 	d.link = link.New(eng, tb, sigma, linkRng)
-	if eng.Partitioned() {
-		// Conservative lookahead for the partitioned engine's drains: a
-		// transfer enters a link queue no earlier than one link latency
-		// after the submitting event, so each link partition can be staged
-		// that far past the other partitions' heads. Host and compute get
-		// no lookahead (their events can be scheduled with zero delay).
-		var look [sim.NumParts]sim.Time
-		look[sim.PartH2D] = tb.H2D.LatencyS
-		look[sim.PartD2H] = tb.D2H.LatencyS
-		eng.SetLookahead(look)
-	}
 	return d
 }
 
@@ -250,7 +239,7 @@ func (d *Device) runNext() {
 	}
 	d.computing = true
 	t.start = d.eng.Now()
-	d.eng.AfterPart(sim.PartCompute, d.noisy(t.duration), t.fire)
+	d.eng.After(d.noisy(t.duration), t.fire)
 }
 
 // complete finishes an executed kernel: accounting and the trace observer

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,9 +79,7 @@ type planKey struct {
 
 // planCell builds the plan-memoization key for a measurement. Every
 // problem the runner measures is stored NoTrans (Problem has no transpose
-// fields); geometry normalization happens upstream, on the Problem itself
-// (see normalizeGemm), so mirror-equivalent cells arrive here already
-// folded onto their canonical orientation.
+// fields).
 func planCell(routine string, p Problem, T int) planKey {
 	pk := planKey{
 		routine: routine, dtype: p.Dtype,
@@ -91,37 +88,6 @@ func planCell(routine string, p Problem, T int) planKey {
 	}
 	copy(pk.locs[:], p.Locs)
 	return pk
-}
-
-// normalizeGemm folds a NoTrans gemm problem onto the canonical
-// representative of its mirror-equivalence class. The transpose identity
-// C^T = B^T·A^T makes gemm(M,N,K, A@locA, B@locB, C@locC) cost-isomorphic
-// to gemm(N,M,K, B^T@locB, A^T@locA, C^T@locC): tile counts, per-tile
-// transfer volumes and kernel shapes (the kernel-time model is symmetric
-// in M and N) all coincide, so the two orientations share one tile plan.
-// The canonical orientation is the lexicographically smaller of
-// (m, n, locA, locB) and its mirror (n, m, locB, locA); square problems
-// with symmetric locations are their own mirror and pass through
-// unchanged. The fold is applied to the Problem itself — before operand
-// materialization and plan-key construction — so every downstream layer
-// (plan cache, replay validation, result assembly) sees one orientation.
-// Seconds differ between the orientations only through the plan's op
-// order, which is exactly the modeling decision NormalizeKeys opts into;
-// the structural result fields (Subkernels, BytesH2D, BytesD2H) are
-// identical by symmetry.
-func normalizeGemm(p Problem) Problem {
-	if p.Routine != "dgemm" || len(p.Locs) != 3 {
-		return p
-	}
-	m, n := p.M, p.N
-	la, lb := p.Locs[0], p.Locs[1]
-	if m < n || (m == n && la <= lb) {
-		return p // already canonical
-	}
-	q := p
-	q.M, q.N = n, m
-	q.Locs = []model.Loc{lb, la, p.Locs[2]} // fresh slice: p.Locs is shared
-	return q
 }
 
 // planOpsBudget bounds the plan cache by total op count (an op is ~100
@@ -169,26 +135,6 @@ type Runner struct {
 	Reps int
 	// SeedBase diversifies the noise streams of independent campaigns.
 	SeedBase int64
-	// IntraCell selects the conservatively-partitioned discrete-event
-	// engine (per-device event queues with lookahead derived from the
-	// testbed's link latencies) for this runner's repetitions. The fired
-	// event sequence is bit-identical to the sequential engine — the
-	// partitioned engine's (at, seq) merge oracle guarantees it, and the
-	// campaign identity assertions in cocobench pin it — so the flag only
-	// changes how the queue is advanced, never what is measured.
-	IntraCell bool
-	// Drain, with IntraCell, fans the partitioned engine's per-partition
-	// staging jobs out through a worker pool. Staged drains are enabled
-	// only when the pool has more than one worker AND GOMAXPROCS > 1 —
-	// otherwise staging is pure overhead on the single P — which is the
-	// sequential-fallback criterion DESIGN.md §10 documents.
-	Drain *parallel.Pool
-	// NormalizeKeys folds mirror-equivalent gemm cells onto a canonical
-	// orientation before measuring (see normalizeGemm), so symmetric
-	// work-lists share tile plans. Off by default: the reference campaign
-	// is pinned byte-identical, and normalization measures the canonical
-	// representative of each mirror class instead of the literal cell.
-	NormalizeKeys bool
 	// Clock, when set, enables per-phase wall-time attribution
 	// (PhaseSeconds). It is injected rather than sampled so the eval layer
 	// stays wall-clock free under the determinism analyzer; cmd binaries
@@ -229,16 +175,14 @@ type Runner struct {
 
 	// bundleFree recycles wired simulation stacks (engine + device +
 	// runtime + scheduler context) across this runner's repetitions, so a
-	// cached-plan repetition re-derives nothing: no lookahead/drain
-	// configuration, no stream creation, no map growth — only a reseed and
-	// counter reset (see simBundle). It is a mutex-guarded free list
+	// cached-plan repetition re-derives nothing: no stream creation, no
+	// map growth — only a reseed and counter reset (see simBundle). It is a mutex-guarded free list
 	// rather than a sync.Pool deliberately: plan building allocates enough
 	// to trigger GC cycles mid-campaign, and sync.Pool drops its contents
 	// at every GC — losing the op/event slabs, free lists and
 	// kernel-duration memos whose warmth is the entire point of pooling.
-	// The list is per-runner because the duration memo is testbed-specific
-	// and the engine flavor is fixed by the runner's configuration; it
-	// grows to at most the number of concurrent Measure calls.
+	// The list is per-runner because the duration memo is testbed-specific;
+	// it grows to at most the number of concurrent Measure calls.
 	bundleMu   sync.Mutex
 	bundleFree []*simBundle
 }
@@ -317,6 +261,7 @@ func (r *Runner) shard(ck cellKey) *cacheShard {
 // keeps the hit/miss split a pure function of the work-list — identical at
 // any worker count — which the campaign identity checks rely on. Failed
 // builds are returned to every waiter but never cached.
+//
 //cocolint:hotpath
 func (r *Runner) planFor(key planKey, build func() (*plan.Plan, error)) (*plan.Plan, error) {
 	r.planMu.Lock()
@@ -497,13 +442,6 @@ func axpyOperands(rt *cudart.Runtime, p Problem) (x, y *operand.Vector, err erro
 	return x, y, nil
 }
 
-// drainThreshold is the heap population at which an intra-cell engine
-// stages a conservative drain. Below it the staging bookkeeping outweighs
-// the batch-pop savings; the big gemm cells hold tens of thousands of
-// pending events, so they drain, while tiny cells never do (and draining
-// never changes what fires — see the merge-oracle invariant).
-const drainThreshold = 4096
-
 // ctxStreams is the number of long-lived streams a bundle's scheduler
 // context owns (h2d, d2h, compute); TruncateStreams rewinds a reused
 // bundle's runtime to exactly these.
@@ -516,31 +454,12 @@ const ctxStreams = 3
 // and event free list, the runtime its op/event slabs and kernel-duration
 // memo, the context its streams, bucket slice and replay scratch, and the
 // device its task free list. Per repetition only the noise streams are
-// reseeded and the accounting counters zeroed; the lookahead and drain
-// configuration are derived once, at bundle construction, never per rep.
+// reseeded and the accounting counters zeroed.
 type simBundle struct {
 	eng *sim.Engine
 	dev *device.Device
 	rt  *cudart.Runtime
 	ctx *sched.Context
-}
-
-// newEngine builds a simulation engine of the runner's configured flavor.
-// The partitioned engine is selected only when its drains can actually fan
-// out — a worker pool with real concurrency AND more than one P. A
-// single-core intra-cell runner gets the flat sequential queue outright:
-// the fired event sequence is identical either way (the partitioned
-// engine's merge oracle pins it), so partitioning without parallel staging
-// would be pure bookkeeping overhead. The partitioned engine's lookahead
-// vector is installed by device.New from the testbed's link latencies.
-func (r *Runner) newEngine() *sim.Engine {
-	if !r.IntraCell || r.Drain.Workers() <= 1 || runtime.GOMAXPROCS(0) <= 1 {
-		return sim.New()
-	}
-	eng := sim.NewPartitioned()
-	pool := r.Drain
-	eng.SetDrain(drainThreshold, func(n int, f func(int)) { parallel.Fanout(pool, n, f) })
-	return eng
 }
 
 // bundle returns a simulation stack ready for one repetition with the
@@ -565,7 +484,7 @@ func (r *Runner) bundle(seed int64) *simBundle {
 		b.ctx.Reset()
 		return b
 	}
-	eng := r.newEngine()
+	eng := sim.New()
 	dev := device.New(eng, r.TB, seed, false)
 	rt := cudart.New(dev)
 	return &simBundle{eng: eng, dev: dev, rt: rt, ctx: sched.NewContext(rt, false)}
@@ -605,12 +524,6 @@ func (r *Runner) finishTimed(pc *phaseLap, rt *cudart.Runtime, pend *sched.Pendi
 // it: the engine, runtime or context may hold half-enqueued state whose
 // cleanup is not worth proving correct on an error path.
 func (r *Runner) runOnce(lib Lib, p Problem, T int, seed int64) (res operand.Result, err error) {
-	if r.NormalizeKeys {
-		// Fold onto the mirror class's canonical orientation. The noise
-		// seed was already derived from the original cell key upstream, so
-		// mirrored cells keep distinct noise streams.
-		p = normalizeGemm(p)
-	}
 	bd := r.bundle(seed)
 	rt := bd.rt
 	defer func() {
@@ -842,6 +755,7 @@ func (r *Runner) runFactor(bd *simBundle, pc *phaseLap, p Problem, T int) (opera
 // Results are cached by (testbed, lib, problem, T). Measure is safe for
 // concurrent use, and concurrent calls for the same cell simulate it
 // exactly once; errors are returned to every waiter but never cached.
+//
 //cocolint:hotpath
 func (r *Runner) Measure(lib Lib, p Problem, T int) (operand.Result, error) {
 	ck := cell(lib, p, T)

@@ -10,6 +10,7 @@ import (
 	"cocopelia/internal/model"
 	"cocopelia/internal/operand"
 	"cocopelia/internal/parallel"
+	"cocopelia/internal/plan"
 )
 
 // TestMeasureConcurrentSingleflight drives many concurrent Measure calls
@@ -173,5 +174,46 @@ func TestCampaignParallelDeterminism(t *testing.T) {
 	}
 	if serialCSV != parCSV {
 		t.Error("CSV cells differ between serial and parallel runs")
+	}
+}
+
+// TestPlanEvictions drives planFor directly with oversized synthetic plans
+// so FIFO eviction triggers without simulating anything: once the op
+// budget overflows, the oldest plan is dropped (and counted), a re-request
+// of the dropped key misses again, and a stale queue record left by the
+// eviction must not evict the rebuilt plan.
+func TestPlanEvictions(t *testing.T) {
+	r := NewRunner(machine.TestbedI())
+	big := func() (*plan.Plan, error) {
+		return &plan.Plan{Ops: make([]plan.Op, planOpsBudget/2+1)}, nil
+	}
+	key := func(m int) planKey { return planKey{routine: "synthetic", m: m} }
+
+	for m := 0; m < 3; m++ {
+		if _, err := r.planFor(key(m), big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Three plans of budget/2+1 ops each: inserting the second evicts the
+	// first, inserting the third evicts the second.
+	hits, misses, evictions := r.PlanCacheStats()
+	if hits != 0 || misses != 3 || evictions != 2 {
+		t.Fatalf("after 3 oversized inserts: hits=%d misses=%d evictions=%d, want 0/3/2", hits, misses, evictions)
+	}
+	// Key 0 was evicted, so it misses and rebuilds; its stale queue record
+	// is long gone, but key 2's record is still queued — rebuilding key 0
+	// evicts key 2, not the fresh key 0.
+	if _, err := r.planFor(key(0), big); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.planFor(key(0), func() (*plan.Plan, error) {
+		t.Fatal("rebuilt plan was evicted by its own stale queue record")
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses, evictions = r.PlanCacheStats()
+	if hits != 1 || misses != 4 || evictions != 3 {
+		t.Errorf("after re-request of evicted key: hits=%d misses=%d evictions=%d, want 1/4/3", hits, misses, evictions)
 	}
 }

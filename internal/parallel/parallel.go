@@ -152,44 +152,6 @@ func Map[T, R any](p *Pool, items []T, fn func(i int, item T) (R, error)) ([]R, 
 	return out, nil
 }
 
-// Fanout runs f(0) … f(n-1) to completion, concurrently through up to
-// p.Workers() goroutines when the pool allows it and inline otherwise. It
-// is the infallible, index-only sibling of ForEach, shaped for the
-// partitioned DES engine's drain hook (sim.SetDrain): the per-partition
-// staging jobs are independent, return nothing, and must all finish before
-// the drain proceeds. A nil pool (or a single-worker one) runs inline on
-// the calling goroutine, which is also the deterministic reference order.
-func Fanout(p *Pool, n int, f func(int)) {
-	workers := p.Workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // ForEach is Map without result collection: it applies fn to every item
 // and returns the first error.
 func ForEach[T any](p *Pool, items []T, fn func(i int, item T) error) error {

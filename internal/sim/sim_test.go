@@ -375,6 +375,163 @@ func TestHeapMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
+// runTieWorkload drives a workload whose timestamps are quantized to a
+// coarse grid, so same-timestamp runs are the common case rather than a
+// measure-zero accident. Callbacks schedule children at the CURRENT
+// timestamp, cancel pending siblings, and reschedule siblings onto the
+// current timestamp — every operation that could tempt a driver loop into
+// firing out of (at, seq) order. drive runs the engine to completion. The
+// heap's counter invariant (live + dead == len(queue)) is checked after
+// every callback; broken reports whether it ever failed.
+func runTieWorkload(e *Engine, seed int64, drive func(*Engine) Time) (fired [][2]float64, end Time, broken bool) {
+	rng := rand.New(rand.NewSource(seed))
+	const tick = 0.25
+	quant := func(x float64) Time { return Time(int(x/tick)) * tick }
+	id := 0
+	var pending []*Event
+	var schedule func(at Time, depth int)
+	schedule = func(at Time, depth int) {
+		myID := id
+		id++
+		ev := e.Schedule(at, func() {
+			fired = append(fired, [2]float64{e.Now(), float64(myID)})
+			switch op := rng.Intn(6); {
+			case op == 0 && depth < 4:
+				// Half of these children land exactly on e.Now(): issued
+				// while the timestamp is firing, they must still fire in
+				// (at, seq) order.
+				schedule(e.Now()+quant(rng.Float64()*0.5), depth+1)
+			case op == 1 && len(pending) > 0:
+				victim := pending[rng.Intn(len(pending))]
+				if victim.Pending() {
+					e.Cancel(victim)
+				}
+			case op == 2 && len(pending) > 0:
+				victim := pending[rng.Intn(len(pending))]
+				if victim.Pending() {
+					// Quantized retime, possibly onto the current timestamp.
+					e.Reschedule(victim, e.Now()+quant(rng.Float64()*2))
+				}
+			}
+			if e.live+e.dead != len(e.queue) {
+				broken = true
+			}
+		})
+		pending = append(pending, ev)
+	}
+	for i := 0; i < 80; i++ {
+		schedule(quant(rng.Float64()*8), 0)
+	}
+	return fired, drive(e), broken
+}
+
+// Property: with tie-heavy quantized timestamps and in-callback
+// Cancel/Reschedule onto the current timestamp, Run and a Step loop fire
+// the identical sequence, and the heap's live/dead counters always account
+// for every entry.
+func TestTieBatchCancelRescheduleProperty(t *testing.T) {
+	run := func(e *Engine) Time { return e.Run() }
+	step := func(e *Engine) Time {
+		for e.Step() {
+		}
+		return e.Now()
+	}
+	f := func(seed int64) bool {
+		wantFired, wantEnd, brokenRun := runTieWorkload(New(), seed, run)
+		gotFired, gotEnd, brokenStep := runTieWorkload(New(), seed, step)
+		if brokenRun || brokenStep {
+			t.Fatalf("seed %d: heap counter invariant live+dead == len(queue) broken", seed)
+		}
+		if gotEnd != wantEnd || len(gotFired) != len(wantFired) {
+			t.Logf("seed %d: Step loop fired %d events to %v, Run fired %d to %v",
+				seed, len(gotFired), gotEnd, len(wantFired), wantEnd)
+			return false
+		}
+		for i := range wantFired {
+			if gotFired[i] != wantFired[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// A same-timestamp run mutated while it fires: the first event cancels a
+// later same-timestamp event and reschedules a late event onto the run's
+// timestamp (it keeps its issue order, so it fires after the earlier-issued
+// ties). The fired order is pinned exactly.
+func TestBatchBoundaryCancelReschedule(t *testing.T) {
+	e := New()
+	var got []int
+	var evB, evE *Event
+	e.Schedule(1, func() {
+		got = append(got, 1)
+		e.Cancel(evB)        // same timestamp, still queued
+		e.Reschedule(evE, 1) // late time -> the run's timestamp
+	})
+	evB = e.Schedule(1, func() { got = append(got, 2) })
+	e.Schedule(1, func() { got = append(got, 3) })
+	e.Schedule(1, func() { got = append(got, 4) })
+	evE = e.Schedule(5, func() { got = append(got, 5) })
+	e.Schedule(2, func() { got = append(got, 6) })
+	e.Run()
+	// Order: 1 fires, kills 2, retimes 5 to t=1 (seq after 3 and 4); then
+	// 3, 4 by issue order, then 5, then 6 at t=2.
+	want := []int{1, 3, 4, 5, 6}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+}
+
+// Slot-parked and heap-resident events are both first-class: Pending counts
+// them, Cancel kills either in O(1), and Reschedule moves either in both
+// time directions past other pending events.
+func TestCancelRescheduleSemantics(t *testing.T) {
+	e := New()
+	var got []int
+	mk := func(at Time, id int) *Event {
+		return e.Schedule(at, func() { got = append(got, id) })
+	}
+	a := mk(1, 1) // slot
+	b := mk(2, 2) // heap
+	c := mk(3, 3) // heap
+	d := mk(4, 4) // heap
+	if a.where != inSlot || b.where != inHeap {
+		t.Fatal("test setup: expected the first event in the slot, the rest on the heap")
+	}
+	if e.Pending() != 4 {
+		t.Fatalf("Pending = %d, want 4", e.Pending())
+	}
+	e.Cancel(b)
+	if b.Pending() {
+		t.Error("cancelled heap event still pending")
+	}
+	e.Reschedule(c, 0.5) // heap -> earlier than the slot event
+	e.Reschedule(a, 10)  // slot event retimed in place, now fires last
+	e.Reschedule(d, 2)   // heap -> earlier
+	if e.Pending() != 3 {
+		t.Fatalf("Pending = %d, want 3", e.Pending())
+	}
+	e.Run()
+	want := []int{3, 4, 1}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+}
+
 func TestScheduleSteadyStateDoesNotAllocateEvents(t *testing.T) {
 	e := New()
 	var fn func()
@@ -390,6 +547,26 @@ func TestScheduleSteadyStateDoesNotAllocateEvents(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state schedule+step allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// Steady-state Run over a standing heap population (not just the slot)
+// allocates nothing once the free list and heap backing are warm.
+func TestRunSteadyStateDoesNotAllocate(t *testing.T) {
+	e := New()
+	fn := func() {}
+	for i := 0; i < 100; i++ {
+		e.After(1+Time(i%7), fn)
+	}
+	e.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		for i := 0; i < 4; i++ {
+			e.After(1+Time(i), fn)
+		}
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state schedule+run allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
