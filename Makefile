@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: build test vet fmt lint lint-json race verify bench bench-blas \
 	bench-blas-check bench-blas-smoke bench-campaign bench-campaign-check \
 	bench-campaign-smoke bench-factor bench-factor-check cross-arm64 \
-	plan-golden-smoke profile results
+	eval-check plan-golden-smoke profile results
 
 build:
 	$(GO) build ./...
@@ -42,11 +42,12 @@ race:
 # verify is the pre-commit gate: compile, vet, the gofmt check, the
 # invariant analyzers, the race-enabled suite, the build-only benchmark
 # smoke, a sub-second run of the campaign-throughput mode, the
-# factorization-sweep identity gate, the golden tile-plan check, and the
-# arm64 cross-compile (the NEON kernels have no native CI runner, so
-# assemble+vet is their regression gate).
+# factorization-sweep identity gate, the golden tile-plan check, the
+# committed-figures identity gate, and the arm64 cross-compile (the NEON
+# kernels have no native CI runner, so assemble+vet is their regression
+# gate).
 verify: build vet fmt lint race bench-blas-smoke bench-campaign-smoke \
-	bench-factor-check plan-golden-smoke cross-arm64
+	bench-factor-check plan-golden-smoke eval-check cross-arm64
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
@@ -105,6 +106,21 @@ bench-factor:
 bench-factor-check:
 	$(GO) run ./cmd/cocobench -factor -check results/bench-factor.json
 
+# eval-check regenerates every paper figure from the committed deployments
+# into a temporary directory and fails unless stdout matches
+# results/eval-output.txt and every results/*.csv matches its fresh copy,
+# byte for byte, in both directions (no file missing, none extra). The
+# outputs are deterministic, so this is an identity gate, not a tolerance
+# check. Refresh the committed files with `make results` when a change to
+# them is intentional.
+eval-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/cocoeval -deploy results -out "$$tmp" > "$$tmp/eval-output.txt" || exit 1; \
+	cmp results/eval-output.txt "$$tmp/eval-output.txt" || exit 1; \
+	for f in results/*.csv; do cmp "$$f" "$$tmp/$${f#results/}" || exit 1; done; \
+	for f in "$$tmp"/*.csv; do [ -f "results/$${f##*/}" ] || { echo "eval-check: $${f##*/} not committed"; exit 1; }; done; \
+	echo "eval-check OK: stdout and $$(ls results/*.csv | wc -l) CSVs identical"
+
 # cross-arm64 cross-compiles and vets the whole module for linux/arm64,
 # gating the NEON micro-kernels (gemm_arm64.s) and their build-tagged
 # registration on hosts without arm64 hardware or emulation.
@@ -126,4 +142,4 @@ profile:
 
 results: build
 	$(GO) run ./cmd/cocodeploy -out results
-	$(GO) run ./cmd/cocoeval -deploy results -out results
+	$(GO) run ./cmd/cocoeval -deploy results -out results > results/eval-output.txt

@@ -494,10 +494,9 @@ func runCampaign(out string, smoke bool, passes int, checkPath string) error {
 
 	rep := campaignReport{Testbed: tb.Name, GOGC: campaignGOGC, Reps: 3, Reference: ref}
 	for _, cfg := range []rowConfig{{workers: 2}, {workers: 8}} {
-		// Sweep rows get the same best-of-passes treatment as the reference:
-		// multi-worker rows on a contended host swing far more than the
-		// phase gate's 20% bound, and a single pass would trip -check on
-		// scheduler noise rather than regressions.
+		// Sweep rows get the same best-of-passes treatment as the reference,
+		// so their throughput compares like for like: a single pass of a
+		// multi-worker row on a contended host swings with scheduler noise.
 		cfg.passes = passes
 		// Every sweep row carries its own phase split, so regressions that
 		// only show up at a particular worker count are attributable
@@ -530,8 +529,12 @@ func runCampaign(out string, smoke bool, passes int, checkPath string) error {
 // checkCampaign compares a freshly measured campaign against the committed
 // baseline: the reference row's simulated counters must match exactly (any
 // drift means the simulation changed, which a perf PR must not do),
-// throughput may regress at most 15%, and no phase of any row may run more
-// than 20% slower than its baseline phase.
+// throughput may regress at most 15%, and no phase of the reference row
+// may run more than 20% slower than its baseline phase. Sweep rows are
+// pinned to the reference row's counters when measured; their phase
+// splits stay in the JSON for attribution but are not gated, since a
+// multi-worker row on a contended host attributes descheduled time to
+// whatever phase was running.
 func checkCampaign(path string, rep *campaignReport) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -556,34 +559,8 @@ func checkCampaign(path string, rep *campaignReport) error {
 	if err := phaseGate("reference", ref.Phases, b.Phases); err != nil {
 		return err
 	}
-	for _, row := range rep.Sweep {
-		// Only single-worker rows are gated: with one worker a phase's
-		// seconds are exact goroutine-local wall time, while multi-worker
-		// rows on a contended host attribute descheduled time to whatever
-		// phase was running, swinging far past any useful bound. The
-		// multi-worker splits stay in the JSON for attribution.
-		if row.Workers != 1 {
-			continue
-		}
-		if bl := findSweepRow(base.Sweep, row.Workers); bl != nil {
-			tag := fmt.Sprintf("sweep workers=%d", row.Workers)
-			if err := phaseGate(tag, row.Phases, bl.Phases); err != nil {
-				return err
-			}
-		}
-	}
 	log.Printf("campaign check OK: %.1f cells/s vs baseline %.1f, counters identical, phases within bounds",
 		ref.CellsPerSec, b.CellsPerSec)
-	return nil
-}
-
-// findSweepRow locates the baseline sweep row with the same worker count.
-func findSweepRow(rows []campaignRow, workers int) *campaignRow {
-	for i := range rows {
-		if rows[i].Workers == workers {
-			return &rows[i]
-		}
-	}
 	return nil
 }
 

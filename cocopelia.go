@@ -87,6 +87,10 @@ const (
 // of a different precision than the device buffer.
 var ErrHostWindow = cudart.ErrHostWindow
 
+// ErrDeviceWindow is returned when a device-resident operand's shape and
+// leading dimension address more elements than its device buffer holds.
+var ErrDeviceWindow = operand.ErrDeviceWindow
+
 // TestbedI returns the simulated equivalent of the paper's Testbed I
 // (Tesla K40, PCIe Gen2 x8).
 func TestbedI() *Testbed { return machine.TestbedI() }

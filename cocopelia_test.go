@@ -262,6 +262,81 @@ func TestDeviceCopyRejectsBadHostSlice(t *testing.T) {
 	}
 }
 
+// TestDeviceOperandRejectsShortBuffer hands the backed routines device
+// operands whose descriptors reach past their buffers and requires
+// ErrDeviceWindow from validation instead of a panic inside a kernel
+// payload. A rejected call enqueues nothing, so the session stays usable.
+func TestDeviceOperandRejectsShortBuffer(t *testing.T) {
+	const n, T = 64, 32
+	host := func(rows, cols int) *Matrix { return HostMatrix(rows, cols, make([]float64, rows*cols)) }
+	cases := []struct {
+		name string
+		call func(lib *Library) error
+	}{
+		{"gemm A shape past buffer", func(lib *Library) error {
+			a, err := lib.DeviceMatrix("dgemm", 4, 4, make([]float64, 16))
+			if err != nil {
+				return err
+			}
+			a.Rows, a.Cols, a.DevLd = n, n, n
+			_, err = lib.DgemmTile(n, n, n, 1, a, host(n, n), 0, host(n, n), T)
+			return err
+		}},
+		{"gemm C leading dimension past buffer", func(lib *Library) error {
+			c, err := lib.DeviceMatrix("dgemm", n, n, make([]float64, n*n))
+			if err != nil {
+				return err
+			}
+			c.DevLd = 2 * n
+			_, err = lib.DgemmTile(n, n, n, 1, host(n, n), host(n, n), 1, c, T)
+			return err
+		}},
+		{"gemv x length past buffer", func(lib *Library) error {
+			x, err := lib.DeviceVector(4, make([]float64, 4))
+			if err != nil {
+				return err
+			}
+			x.N = n
+			y := HostVector(n, make([]float64, n))
+			_, err = lib.DgemvTile(n, n, 1, host(n, n), x, 0, y, T)
+			return err
+		}},
+		{"axpy y length past buffer", func(lib *Library) error {
+			y, err := lib.DeviceVector(4, make([]float64, 4))
+			if err != nil {
+				return err
+			}
+			y.N = n
+			_, err = lib.DaxpyTile(n, 1, HostVector(n, make([]float64, n)), y, T)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			lib := openBacked(t)
+			defer lib.Close()
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				return c.call(lib)
+			}()
+			if !errors.Is(err, ErrDeviceWindow) {
+				t.Fatalf("err = %v, want ErrDeviceWindow", err)
+			}
+			a, b, out := make([]float64, n*n), make([]float64, n*n), make([]float64, n*n)
+			for i := range a {
+				a[i], b[i] = float64(i%7), float64(i%5)
+			}
+			if _, err := lib.DgemmTile(n, n, n, 1, HostMatrix(n, n, a), HostMatrix(n, n, b), 0, HostMatrix(n, n, out), T); err != nil {
+				t.Fatalf("session unusable after the rejected call: %v", err)
+			}
+		})
+	}
+}
+
 func TestSelectionCachedAndPlausible(t *testing.T) {
 	lib := openTiming(t)
 	defer lib.Close()

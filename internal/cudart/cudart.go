@@ -75,10 +75,7 @@ type opKind uint8
 const (
 	opCallback opKind = iota // host function, zero duration
 	opKernel                 // compute-engine kernel
-	opH2D                    // 1-D host-to-device copy
-	opD2H                    // 1-D device-to-host copy
-	opSet2D                  // 2-D host-to-device submatrix copy
-	opGet2D                  // 2-D device-to-host submatrix copy
+	opTransfer               // link transfer in direction dir
 )
 
 // op is one scheduled stream operation. Ops are recycled through the
@@ -87,11 +84,11 @@ const (
 // The layout is tuned for the firing path, which touches hundreds of
 // thousands of scattered op objects per replay: the fields depSatisfied,
 // launch and finish read (pointers first, then the packed small scalars)
-// sit together at the front, and the functional operands of backed
-// transfers live behind the host pointer in a separate pooled hostWindow,
-// keeping the op itself in the 96-byte malloc class. Timing-only
-// transfers — the overwhelming majority in paper-scale sweeps — never
-// allocate a window, so the replay working set stays dense.
+// sit together at the front, and the functional operands of backed ops
+// live behind the host and call pointers in separately pooled objects,
+// keeping the op itself at 96 bytes. Timing-only ops — the overwhelming
+// majority in paper-scale sweeps — never carry either, so the replay
+// working set stays dense.
 type op struct {
 	rt       *Runtime
 	complete *Event
@@ -103,8 +100,8 @@ type op struct {
 	hwDone func()
 
 	payload func()
-	buf     *DevBuffer
-	host    *hostWindow // functional transfer operands; nil when timing-only
+	host    *window     // functional transfer operands; nil when timing-only
+	call    *kernelCall // functional kernel operands; nil when timing-only
 
 	// deps is the outstanding-dependency count (valid between enqueue and
 	// launch).
@@ -119,17 +116,48 @@ type op struct {
 	bytes int64 // transfer volume
 }
 
-// hostWindow carries the host-side operands of a functional (backed)
-// transfer: the host slices plus the 1-D or 2-D window geometry. It exists
-// only while its op is in flight and recycles through the runtime's window
-// free list.
-type hostWindow struct {
-	f64        []float64
-	f32        []float32
-	off        int64
-	elems      int64
-	rows, cols int32
-	ldh, ldd   int32
+// Window is the host side of a functional transfer: a Rows x Cols
+// column-major window of the host slice matching the device buffer's
+// dtype (leading dimension HostLd), copied to or from the device buffer
+// at element offset DevOff with leading dimension DevLd. A 1-D copy of n
+// elements is the single column Rows = n, Cols = 1.
+type Window struct {
+	F64        []float64
+	F32        []float32
+	HostLd     int
+	Rows, Cols int
+	DevOff     int64
+	DevLd      int
+}
+
+// window is a Window bound to its device buffer for the lifetime of one
+// in-flight transfer; it recycles through the runtime's window free list.
+type window struct {
+	Window
+	buf *DevBuffer
+}
+
+// copy moves the window's data in direction dir.
+func (w *window) copy(dir machine.LinkDir) {
+	b, rows := w.buf, int64(w.Rows)
+	for j := 0; j < w.Cols; j++ {
+		d := w.DevOff + int64(j)*int64(w.DevLd)
+		h := int64(j) * int64(w.HostLd)
+		switch {
+		case b.f64 != nil && w.F64 != nil:
+			if dir == machine.H2D {
+				copy(b.f64[d:d+rows], w.F64[h:h+rows])
+			} else {
+				copy(w.F64[h:h+rows], b.f64[d:d+rows])
+			}
+		case b.f32 != nil && w.F32 != nil:
+			if dir == machine.H2D {
+				copy(b.f32[d:d+rows], w.F32[h:h+rows])
+			} else {
+				copy(w.F32[h:h+rows], b.f32[d:d+rows])
+			}
+		}
+	}
 }
 
 //cocolint:hotpath
@@ -141,14 +169,14 @@ func (o *op) depSatisfied() {
 }
 
 // hwComplete is the hardware-completion callback: it performs the data
-// movement of transfer ops (kernel payloads run inside the device model)
-// and then finishes the op.
+// movement of a backed transfer (kernel payloads run inside the device
+// model) and then finishes the op. Timing-only transfers carry no window:
+// there is nothing to move, and paper-scale sweeps issue millions of them.
 //
 //cocolint:hotpath
 func (o *op) hwComplete() {
-	switch o.kind {
-	case opH2D, opD2H, opSet2D, opGet2D:
-		o.runCopy()
+	if o.host != nil {
+		o.host.copy(o.dir)
 	}
 	o.finish()
 }
@@ -163,58 +191,6 @@ func (o *op) finish() {
 	ev := o.complete
 	rt.recycleOp(o)
 	fire(ev)
-}
-
-// runCopy performs the functional data movement of a transfer op on backed
-// buffers. Timing-only transfers carry no host window and return
-// immediately: there is nothing to move, and paper-scale sweeps issue
-// millions of such transfers.
-func (o *op) runCopy() {
-	w := o.host
-	if w == nil {
-		return
-	}
-	b := o.buf
-	switch o.kind {
-	case opH2D:
-		switch {
-		case b.f64 != nil && w.f64 != nil:
-			copy(b.f64[w.off:w.off+w.elems], w.f64[:w.elems])
-		case b.f32 != nil && w.f32 != nil:
-			copy(b.f32[w.off:w.off+w.elems], w.f32[:w.elems])
-		}
-	case opD2H:
-		switch {
-		case b.f64 != nil && w.f64 != nil:
-			copy(w.f64[:w.elems], b.f64[w.off:w.off+w.elems])
-		case b.f32 != nil && w.f32 != nil:
-			copy(w.f32[:w.elems], b.f32[w.off:w.off+w.elems])
-		}
-	case opSet2D:
-		rows := int(w.rows)
-		for j := 0; j < int(w.cols); j++ {
-			d := w.off + int64(j)*int64(w.ldd)
-			h := j * int(w.ldh)
-			switch {
-			case b.f64 != nil && w.f64 != nil:
-				copy(b.f64[d:d+int64(rows)], w.f64[h:h+rows])
-			case b.f32 != nil && w.f32 != nil:
-				copy(b.f32[d:d+int64(rows)], w.f32[h:h+rows])
-			}
-		}
-	case opGet2D:
-		rows := int(w.rows)
-		for j := 0; j < int(w.cols); j++ {
-			d := w.off + int64(j)*int64(w.ldd)
-			h := j * int(w.ldh)
-			switch {
-			case b.f64 != nil && w.f64 != nil:
-				copy(w.f64[h:h+rows], b.f64[d:d+int64(rows)])
-			case b.f32 != nil && w.f32 != nil:
-				copy(w.f32[h:h+rows], b.f32[d:d+int64(rows)])
-			}
-		}
-	}
 }
 
 // Runtime owns the streams and buffers of one simulated process.
@@ -239,12 +215,13 @@ type Runtime struct {
 	// dependency-firing path chases op pointers hundreds of thousands of
 	// times per replay, and slab-packed neighbours keep it in cache where
 	// individually allocated ops scatter across the heap.
-	opFree  []*op
-	opSlab  []op
-	evFree  []*Event
-	evLive  []*Event
-	evSlab  []Event
-	winFree []*hostWindow
+	opFree   []*op
+	opSlab   []op
+	evFree   []*Event
+	evLive   []*Event
+	evSlab   []Event
+	winFree  []*window
+	callFree []*kernelCall
 
 	// kernelTimes memoizes the pure kernel-model duration lookups: a tiled
 	// sweep launches thousands of identically-shaped kernels, and the
@@ -403,37 +380,59 @@ func (rt *Runtime) allocOp(kind opKind) *op {
 }
 
 // recycleOp clears an op's references and parks it on the free list,
-// returning any host window to the window pool.
+// returning any transfer window or kernel call to its pool.
 func (rt *Runtime) recycleOp(o *op) {
 	o.complete = nil
 	o.name = ""
 	o.payload = nil
-	o.buf = nil
 	if w := o.host; w != nil {
 		o.host = nil
-		*w = hostWindow{}
+		*w = window{}
 		rt.winFree = append(rt.winFree, w)
+	}
+	if c := o.call; c != nil {
+		o.call = nil
+		c.Payload = Payload{}
+		rt.callFree = append(rt.callFree, c)
 	}
 	rt.opFree = append(rt.opFree, o)
 }
 
-// allocWindow returns a recycled (or fresh) zeroed host window for a
-// functional transfer.
-func (rt *Runtime) allocWindow() *hostWindow {
+// allocWindow returns a recycled (or fresh) transfer window holding a copy
+// of w bound to buf.
+func (rt *Runtime) allocWindow(buf *DevBuffer, w *Window) *window {
+	var b *window
 	if n := len(rt.winFree); n > 0 {
-		w := rt.winFree[n-1]
+		b = rt.winFree[n-1]
 		rt.winFree[n-1] = nil
 		rt.winFree = rt.winFree[:n-1]
-		return w
+	} else {
+		b = &window{}
 	}
-	return &hostWindow{}
+	b.Window, b.buf = *w, buf
+	return b
+}
+
+// allocCall returns a recycled (or fresh) kernel call holding a copy of p.
+func (rt *Runtime) allocCall(p *Payload) *kernelCall {
+	var c *kernelCall
+	if n := len(rt.callFree); n > 0 {
+		c = rt.callFree[n-1]
+		rt.callFree[n-1] = nil
+		rt.callFree = rt.callFree[:n-1]
+	} else {
+		c = &kernelCall{rt: rt}
+		c.run = c.exec
+	}
+	c.Payload = *p
+	return c
 }
 
 // needsWindow reports whether a transfer between buf and the given host
 // slices can move data (backed buffer and a host side present) and so needs
 // its operands carried on the op.
 func needsWindow(buf *DevBuffer, hostF64 []float64, hostF32 []float32) bool {
-	return (buf.f64 != nil || buf.f32 != nil) && (hostF64 != nil || hostF32 != nil)
+	return buf.Backed() && (hostF64 != nil || hostF32 != nil)
 }
 
 // allocEvent returns a recycled (or fresh) incomplete event, tracked for
@@ -595,33 +594,39 @@ func (s *Stream) enqueue(o *op) *Event {
 	return o.complete
 }
 
-// TransferOp enqueues a pre-validated timing-only transfer: bytes move in
-// direction dir through device buffer buf with no host-side window. It
-// produces the identical op, dependency and event structure as the checked
-// Memcpy/SetMatrix/GetMatrix entry points do on unbacked buffers — the plan
-// replay tape uses it to skip per-op validation and operand resolution.
+// TransferOp enqueues a pre-validated transfer: bytes move in direction
+// dir through device buffer buf. A non-nil w whose host side and buffer
+// both carry data makes the transfer functional — the window's elements
+// are copied when the link finishes; otherwise the transfer is
+// timing-only. The checked Memcpy/SetMatrix/GetMatrix entry points and
+// the plan replay both enqueue through here, so a replayed transfer
+// produces the identical op, dependency and event structure.
 //
 //cocolint:hotpath
-func (s *Stream) TransferOp(dir machine.LinkDir, bytes int64, buf *DevBuffer) *Event {
-	kind := opH2D
-	if dir == machine.D2H {
-		kind = opD2H
-	}
-	o := s.rt.allocOp(kind)
+func (s *Stream) TransferOp(dir machine.LinkDir, bytes int64, buf *DevBuffer, w *Window) *Event {
+	o := s.rt.allocOp(opTransfer)
 	o.dir, o.bytes = dir, bytes
-	o.buf = buf
+	if w != nil && needsWindow(buf, w.F64, w.F32) {
+		//lint:ignore hotpath window free-list pop; timing-only replays pass a nil window and never reach it
+		o.host = s.rt.allocWindow(buf, w)
+	}
 	return s.enqueue(o)
 }
 
-// KernelOp enqueues a payload-free kernel with a precomputed duration — the
-// tape replay analog of GemmAsync/GemvAsync/AxpyAsync on unbacked buffers,
-// whose payloads are nil and whose durations are pure functions of the
-// launch shape.
+// KernelOp enqueues a kernel with a precomputed duration. A non-nil
+// payload whose output buffer is backed runs its blas body when the kernel
+// completes; otherwise the kernel is timing-only. GemmAsync, GemvAsync,
+// AxpyAsync and the plan replay all launch through here.
 //
 //cocolint:hotpath
-func (s *Stream) KernelOp(name string, duration float64) *Event {
+func (s *Stream) KernelOp(name string, duration float64, p *Payload) *Event {
 	o := s.rt.allocOp(opKernel)
 	o.name, o.duration = name, duration
+	if p != nil && p.out().Buf.Backed() {
+		//lint:ignore hotpath kernel-call free-list pop; timing-only replays pass a nil payload and never reach it
+		o.call = s.rt.allocCall(p)
+		o.payload = o.call.run
+	}
 	return s.enqueue(o)
 }
 
@@ -767,15 +772,8 @@ func (s *Stream) MemcpyH2DAsync(dst *DevBuffer, dstOff int64, hostF64 []float64,
 	if err := checkHostWindow(dst, hostF64, hostF32, elems, "h2d"); err != nil {
 		return nil, err
 	}
-	o := s.rt.allocOp(opH2D)
-	o.dir, o.bytes = machine.H2D, elems*dst.dt.Size()
-	o.buf = dst
-	if needsWindow(dst, hostF64, hostF32) {
-		w := s.rt.allocWindow()
-		w.f64, w.f32, w.off, w.elems = hostF64, hostF32, dstOff, elems
-		o.host = w
-	}
-	return s.enqueue(o), nil
+	w := Window{F64: hostF64, F32: hostF32, Rows: int(elems), Cols: 1, DevOff: dstOff}
+	return s.TransferOp(machine.H2D, elems*dst.dt.Size(), dst, &w), nil
 }
 
 // MemcpyD2HAsync enqueues a 1-D device-to-host copy.
@@ -786,28 +784,40 @@ func (s *Stream) MemcpyD2HAsync(hostF64 []float64, hostF32 []float32, src *DevBu
 	if err := checkHostWindow(src, hostF64, hostF32, elems, "d2h"); err != nil {
 		return nil, err
 	}
-	o := s.rt.allocOp(opD2H)
-	o.dir, o.bytes = machine.D2H, elems*src.dt.Size()
-	o.buf = src
-	if needsWindow(src, hostF64, hostF32) {
-		w := s.rt.allocWindow()
-		w.f64, w.f32, w.off, w.elems = hostF64, hostF32, srcOff, elems
-		o.host = w
-	}
-	return s.enqueue(o), nil
+	w := Window{F64: hostF64, F32: hostF32, Rows: int(elems), Cols: 1, DevOff: srcOff}
+	return s.TransferOp(machine.D2H, elems*src.dt.Size(), src, &w), nil
 }
 
-// matrixArgs describes one side of a 2-D (sub)matrix copy, in the manner of
+// check2D validates one side of a 2-D (sub)matrix copy, in the manner of
 // cublasSetMatrixAsync / cublasGetMatrixAsync: rows x cols elements,
 // column-major with a leading dimension.
-func check2D(rows, cols int, ld int, what string) error {
+func check2D(rows, cols int, ld int, what, side string) error {
 	if rows < 0 || cols < 0 {
-		return fmt.Errorf("cudart: %s: negative dims %dx%d", what, rows, cols)
+		return fmt.Errorf("cudart: %s %s: negative dims %dx%d", what, side, rows, cols)
 	}
 	if ld < max(1, rows) {
-		return fmt.Errorf("cudart: %s: ld %d < rows %d", what, ld, rows)
+		return fmt.Errorf("cudart: %s %s: ld %d < rows %d", what, side, ld, rows)
 	}
 	return nil
+}
+
+// matrix2D validates a 2-D copy of the window w through device buffer buf
+// and enqueues it in direction dir.
+func (s *Stream) matrix2D(dir machine.LinkDir, buf *DevBuffer, w *Window, what string) (*Event, error) {
+	if err := check2D(w.Rows, w.Cols, w.HostLd, what, "host"); err != nil {
+		return nil, err
+	}
+	if err := check2D(w.Rows, w.Cols, w.DevLd, what, "device"); err != nil {
+		return nil, err
+	}
+	need := int64(0)
+	if w.Cols > 0 {
+		need = int64(w.Cols-1)*int64(w.DevLd) + int64(w.Rows)
+	}
+	if err := memcpyBounds(buf, w.DevOff, need, what); err != nil {
+		return nil, err
+	}
+	return s.TransferOp(dir, int64(w.Rows)*int64(w.Cols)*buf.dt.Size(), buf, w), nil
 }
 
 // SetMatrixAsync enqueues a 2-D h2d copy of a rows x cols column-major
@@ -815,56 +825,14 @@ func check2D(rows, cols int, ld int, what string) error {
 // dstOff with leading dimension ldd. Exactly one of hostF64/hostF32 must
 // match the buffer dtype in functional runs.
 func (s *Stream) SetMatrixAsync(rows, cols int, hostF64 []float64, hostF32 []float32, ldh int, dst *DevBuffer, dstOff int64, ldd int) (*Event, error) {
-	if err := check2D(rows, cols, ldh, "setmatrix host"); err != nil {
-		return nil, err
-	}
-	if err := check2D(rows, cols, ldd, "setmatrix device"); err != nil {
-		return nil, err
-	}
-	need := int64(0)
-	if cols > 0 {
-		need = int64(cols-1)*int64(ldd) + int64(rows)
-	}
-	if err := memcpyBounds(dst, dstOff, need, "setmatrix"); err != nil {
-		return nil, err
-	}
-	o := s.rt.allocOp(opSet2D)
-	o.dir, o.bytes = machine.H2D, int64(rows)*int64(cols)*dst.dt.Size()
-	o.buf = dst
-	if needsWindow(dst, hostF64, hostF32) {
-		w := s.rt.allocWindow()
-		w.f64, w.f32, w.off = hostF64, hostF32, dstOff
-		w.rows, w.cols, w.ldh, w.ldd = int32(rows), int32(cols), int32(ldh), int32(ldd)
-		o.host = w
-	}
-	return s.enqueue(o), nil
+	w := Window{F64: hostF64, F32: hostF32, HostLd: ldh, Rows: rows, Cols: cols, DevOff: dstOff, DevLd: ldd}
+	return s.matrix2D(machine.H2D, dst, &w, "setmatrix")
 }
 
 // GetMatrixAsync enqueues a 2-D d2h copy (the cublasGetMatrixAsync analog).
 func (s *Stream) GetMatrixAsync(rows, cols int, src *DevBuffer, srcOff int64, lds int, hostF64 []float64, hostF32 []float32, ldh int) (*Event, error) {
-	if err := check2D(rows, cols, lds, "getmatrix device"); err != nil {
-		return nil, err
-	}
-	if err := check2D(rows, cols, ldh, "getmatrix host"); err != nil {
-		return nil, err
-	}
-	need := int64(0)
-	if cols > 0 {
-		need = int64(cols-1)*int64(lds) + int64(rows)
-	}
-	if err := memcpyBounds(src, srcOff, need, "getmatrix"); err != nil {
-		return nil, err
-	}
-	o := s.rt.allocOp(opGet2D)
-	o.dir, o.bytes = machine.D2H, int64(rows)*int64(cols)*src.dt.Size()
-	o.buf = src
-	if needsWindow(src, hostF64, hostF32) {
-		w := s.rt.allocWindow()
-		w.f64, w.f32, w.off = hostF64, hostF32, srcOff
-		w.rows, w.cols, w.ldh, w.ldd = int32(rows), int32(cols), int32(ldh), int32(lds)
-		o.host = w
-	}
-	return s.enqueue(o), nil
+	w := Window{F64: hostF64, F32: hostF32, HostLd: ldh, Rows: rows, Cols: cols, DevOff: srcOff, DevLd: lds}
+	return s.matrix2D(machine.D2H, src, &w, "getmatrix")
 }
 
 // KernelAsync enqueues a generic kernel with an explicit duration and an
@@ -891,36 +859,14 @@ func (s *Stream) GemmAsync(transA, transB byte, m, n, k int,
 	if a.dt != dt || b.dt != dt {
 		return nil, errors.New("cudart: gemm operand dtype mismatch")
 	}
-	dur := s.rt.gemmTime(dt, m, n, k)
 	name := "dgemm"
 	if dt == kernelmodel.F32 {
 		name = "sgemm"
 	}
-	var payload func()
-	if c.Backed() {
-		payload = func() {
-			var err error
-			if dt == kernelmodel.F64 {
-				err = blas.GemmParallelPolicy(s.rt.payloadPool, s.rt.payloadPolicy, transA, transB, m, n, k, alpha,
-					a.f64[offA:], lda, b.f64[offB:], ldb, beta, c.f64[offC:], ldc)
-			} else {
-				err = blas.GemmParallelPolicy(s.rt.payloadPool, s.rt.payloadPolicy, transA, transB, m, n, k, float32(alpha),
-					a.f32[offA:], lda, b.f32[offB:], ldb, float32(beta), c.f32[offC:], ldc)
-			}
-			if err != nil {
-				panic(fmt.Sprintf("cudart: gemm payload: %v", err))
-			}
-		}
-	}
-	o := s.allocKernelOp(name, dur, payload)
-	return s.enqueue(o), nil
-}
-
-// allocKernelOp builds a kernel op (shared by the BLAS launch wrappers).
-func (s *Stream) allocKernelOp(name string, dur float64, payload func()) *op {
-	o := s.rt.allocOp(opKernel)
-	o.name, o.duration, o.payload = name, dur, payload
-	return o
+	p := Payload{Kind: PayloadGemm, TransA: transA, TransB: transB, M: m, N: n, K: k,
+		Alpha: alpha, Beta: beta,
+		A: Operand{a, offA, lda}, B: Operand{b, offB, ldb}, C: Operand{c, offC, ldc}}
+	return s.KernelOp(name, s.rt.gemmTime(dt, m, n, k), &p), nil
 }
 
 // AxpyAsync enqueues y += alpha*x over device vectors.
@@ -935,27 +881,12 @@ func (s *Stream) AxpyAsync(n int, alpha float64, x *DevBuffer, offX int64, y *De
 		return nil, err
 	}
 	dt := y.dt
-	dur := s.rt.axpyTime(dt, n)
 	name := "daxpy"
 	if dt == kernelmodel.F32 {
 		name = "saxpy"
 	}
-	var payload func()
-	if y.Backed() {
-		payload = func() {
-			var err error
-			if dt == kernelmodel.F64 {
-				err = blas.Daxpy(n, alpha, x.f64[offX:], 1, y.f64[offY:], 1)
-			} else {
-				err = blas.Saxpy(n, float32(alpha), x.f32[offX:], 1, y.f32[offY:], 1)
-			}
-			if err != nil {
-				panic(fmt.Sprintf("cudart: axpy payload: %v", err))
-			}
-		}
-	}
-	o := s.allocKernelOp(name, dur, payload)
-	return s.enqueue(o), nil
+	p := Payload{Kind: PayloadAxpy, N: n, Alpha: alpha, A: Operand{x, offX, 0}, C: Operand{y, offY, 0}}
+	return s.KernelOp(name, s.rt.axpyTime(dt, n), &p), nil
 }
 
 // GemvAsync enqueues y = alpha*op(A)*x + beta*y over device operands.
@@ -965,22 +896,7 @@ func (s *Stream) GemvAsync(trans byte, m, n int, alpha float64,
 	if a.dt != x.dt || x.dt != y.dt {
 		return nil, errors.New("cudart: gemv operand dtype mismatch")
 	}
-	dt := y.dt
-	dur := s.rt.gemvTime(dt, m, n)
-	var payload func()
-	if y.Backed() {
-		payload = func() {
-			var err error
-			if dt == kernelmodel.F64 {
-				err = blas.Dgemv(trans, m, n, alpha, a.f64[offA:], lda, x.f64[offX:], 1, beta, y.f64[offY:], 1)
-			} else {
-				err = blas.Gemv(trans, m, n, float32(alpha), a.f32[offA:], lda, x.f32[offX:], 1, float32(beta), y.f32[offY:], 1)
-			}
-			if err != nil {
-				panic(fmt.Sprintf("cudart: gemv payload: %v", err))
-			}
-		}
-	}
-	o := s.allocKernelOp("gemv", dur, payload)
-	return s.enqueue(o), nil
+	p := Payload{Kind: PayloadGemv, TransA: trans, M: m, N: n, Alpha: alpha, Beta: beta,
+		A: Operand{a, offA, lda}, B: Operand{x, offX, 0}, C: Operand{y, offY, 0}}
+	return s.KernelOp("gemv", s.rt.gemvTime(y.dt, m, n), &p), nil
 }

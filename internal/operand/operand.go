@@ -5,6 +5,7 @@
 package operand
 
 import (
+	"errors"
 	"fmt"
 
 	"cocopelia/internal/cudart"
@@ -34,6 +35,11 @@ type Matrix struct {
 func HostMatrix(rows, cols int, data []float64) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Loc: model.OnHost, HostF64: data, HostLd: rows}
 }
+
+// ErrDeviceWindow reports a device-resident operand whose descriptor
+// reaches past its buffer: the elements its shape and leading dimension
+// address exceed the buffer's capacity.
+var ErrDeviceWindow = errors.New("operand: device buffer does not cover the operand")
 
 // Validate checks the descriptor for the routine dtype. backed requires
 // host storage to actually be present and large enough.
@@ -68,6 +74,10 @@ func (m *Matrix) Validate(name string, dt kernelmodel.Dtype, backed bool) error 
 	if m.Dev.Dtype() != dt {
 		return fmt.Errorf("operand: %s device buffer dtype mismatch", name)
 	}
+	if need := int64(m.Cols-1)*int64(m.DevLd) + int64(m.Rows); m.Dev.Elems() < need {
+		return fmt.Errorf("%w: %s is %dx%d with ld %d, needs %d elements, buffer has %d",
+			ErrDeviceWindow, name, m.Rows, m.Cols, m.DevLd, need, m.Dev.Elems())
+	}
 	return nil
 }
 
@@ -97,7 +107,8 @@ func HostVector(n int, data []float64) *Vector {
 	return &Vector{N: n, Loc: model.OnHost, HostF64: data}
 }
 
-// Validate checks the descriptor. backed requires host storage.
+// Validate checks the descriptor: vectors are float64, and backed requires
+// host storage.
 func (v *Vector) Validate(name string, backed bool) error {
 	if v == nil {
 		return fmt.Errorf("operand: %s is nil", name)
@@ -113,6 +124,13 @@ func (v *Vector) Validate(name string, backed bool) error {
 	}
 	if v.Dev == nil {
 		return fmt.Errorf("operand: %s on device without a buffer", name)
+	}
+	if v.Dev.Dtype() != kernelmodel.F64 {
+		return fmt.Errorf("operand: %s device buffer dtype mismatch", name)
+	}
+	if v.Dev.Elems() < int64(v.N) {
+		return fmt.Errorf("%w: %s has length %d, buffer has %d elements",
+			ErrDeviceWindow, name, v.N, v.Dev.Elems())
 	}
 	return nil
 }

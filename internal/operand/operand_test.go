@@ -1,6 +1,7 @@
 package operand
 
 import (
+	"errors"
 	"testing"
 
 	"cocopelia/internal/cudart"
@@ -74,6 +75,34 @@ func TestMatrixValidateDevice(t *testing.T) {
 	wrongDt := &Matrix{Rows: 4, Cols: 4, Loc: model.OnDevice, Dev: buf, DevLd: 4}
 	if err := wrongDt.Validate("A", kernelmodel.F32, false); err == nil {
 		t.Error("dtype mismatch should error")
+	}
+}
+
+// TestDeviceWindowValidate pins the device-capacity checks: an operand's
+// shape and leading dimension must stay inside its buffer, and device
+// vectors must be float64.
+func TestDeviceWindowValidate(t *testing.T) {
+	buf := devBuffer(t, kernelmodel.F64, 16)
+	dev := func(rows, cols, ld int) *Matrix {
+		return &Matrix{Rows: rows, Cols: cols, Loc: model.OnDevice, Dev: buf, DevLd: ld}
+	}
+	if err := dev(4, 3, 5).Validate("A", kernelmodel.F64, true); err != nil {
+		t.Errorf("a 4x3 window with ld 5 fits 14 of 16 elements: %v", err)
+	}
+	for _, m := range []*Matrix{dev(8, 8, 8), dev(4, 4, 5), dev(16, 2, 16)} {
+		if err := m.Validate("A", kernelmodel.F64, false); !errors.Is(err, ErrDeviceWindow) {
+			t.Errorf("%dx%d ld %d over 16 elements: err = %v, want ErrDeviceWindow", m.Rows, m.Cols, m.DevLd, err)
+		}
+	}
+	if err := (&Vector{N: 16, Loc: model.OnDevice, Dev: buf}).Validate("x", true); err != nil {
+		t.Error(err)
+	}
+	if err := (&Vector{N: 17, Loc: model.OnDevice, Dev: buf}).Validate("x", false); !errors.Is(err, ErrDeviceWindow) {
+		t.Errorf("length 17 over 16 elements: err = %v, want ErrDeviceWindow", err)
+	}
+	f32 := devBuffer(t, kernelmodel.F32, 16)
+	if err := (&Vector{N: 4, Loc: model.OnDevice, Dev: f32}).Validate("x", false); err == nil {
+		t.Error("float32 device vector should error")
 	}
 }
 

@@ -3,9 +3,9 @@ package plan
 import (
 	"fmt"
 
-	"cocopelia/internal/blas"
 	"cocopelia/internal/cudart"
 	"cocopelia/internal/kernelmodel"
+	"cocopelia/internal/machine"
 	"cocopelia/internal/operand"
 )
 
@@ -30,9 +30,9 @@ type Arg struct {
 	Vec *operand.Vector
 }
 
-// Executor replays plans onto a target. It owns reusable scratch (the
-// op-id -> event table, the slot bindings and the acquired-buffer list), so
-// replay allocates nothing once warm; like the scheduler context whose
+// Executor replays plan tapes onto a target. It owns reusable scratch (the
+// completion-event table, the slot bindings and the acquired-buffer list),
+// so replay allocates nothing once warm; like the scheduler context whose
 // scratch it replaces, one executor supports one in-flight replay at a
 // time.
 type Executor struct {
@@ -41,186 +41,164 @@ type Executor struct {
 	pooled []*cudart.DevBuffer
 }
 
-// resolve maps a kernel operand reference to (buffer, offset, ld).
-func (e *Executor) resolve(args []Arg, r Ref) (*cudart.DevBuffer, int64, int) {
-	if r.Slot >= 0 {
-		return e.slots[r.Slot], 0, int(r.Row) // a slot ref's Row carries the ld
-	}
-	a := args[r.Arg]
-	if a.Mat != nil {
-		return a.Mat.Dev, int64(r.Row) + int64(r.Col)*int64(a.Mat.DevLd), a.Mat.DevLd
-	}
-	return a.Vec.Dev, int64(r.Row), 0
-}
-
-// Run replays p onto tgt with the operands bound by args. It issues the
-// plan's stream calls in op order — each op's dependency waits first, in
-// their recorded order, then the matching asynchronous call — which is
-// exactly the call sequence the direct scheduler produced, so the
-// simulation's event order is preserved.
+// Replay replays a compiled tape onto tgt. It issues the plan's stream
+// calls in op order — each op's dependency waits first, in their recorded
+// order, then the transfer or kernel — which is exactly the call sequence
+// the direct scheduler produced, so the simulation's event order is
+// preserved. Every decision that does not depend on the operands (stream,
+// byte volume, kernel name and duration, event slots) was taken when the
+// tape was compiled.
 //
-// Run returns the staging buffers acquired from the allocator; the caller
-// releases them after the engine drains. On error every acquired buffer
-// has already been released.
-func (e *Executor) Run(p *Plan, tgt Target, args []Arg) ([]*cudart.DevBuffer, error) {
-	if len(args) != p.NumArgs() {
-		return nil, fmt.Errorf("plan: %s plan wants %d operands, got %d",
-			p.Routine, p.NumArgs(), len(args))
+// args binds the plan operands in argument order. With bindings, each
+// transfer carries its host window and each kernel its payload, so backed
+// buffers receive real data and arithmetic. Timing-only callers pass nil
+// and replay bare transfers and kernels. The caller validates the bound
+// operands against the plan (sched does so before every replay).
+//
+// Replay returns the staging buffers acquired from the allocator; the
+// caller releases them after the engine drains. On error every acquired
+// buffer has already been released.
+//
+//cocolint:hotpath
+func (e *Executor) Replay(t *Tape, tgt Target, args []Arg) ([]*cudart.DevBuffer, error) {
+	p := t.p
+	if args != nil && len(args) != p.NumArgs() {
+		//lint:ignore hotpath error path: a malformed binding is rejected before anything is enqueued
+		return nil, fmt.Errorf("plan: %s plan wants %d operands, got %d", p.Routine, p.NumArgs(), len(args))
 	}
-	// The event table is dense over referenced ops only (Op.Ev), so the
-	// pointer scratch — allocated, zeroed and GC-scanned per fresh context —
-	// stays proportional to the dependency structure, not the op count.
+	// Event slots need no clearing between replays: a dependency edge always
+	// references an op emitted earlier in the tape, so every slot is written
+	// before it is read (stale pointers from a previous replay are never
+	// observed). The replay property tests pin this.
 	if cap(e.events) < p.EvSlots {
+		//lint:ignore hotpath grow-once scratch: reallocated only when a replay needs more event slots than any before it
 		e.events = make([]*cudart.Event, p.EvSlots)
 	}
 	e.events = e.events[:p.EvSlots]
-	for i := range e.events {
-		e.events[i] = nil
-	}
 	if cap(e.slots) < len(p.Slots) {
+		//lint:ignore hotpath grow-once scratch: reallocated only when a replay needs more staging slots than any before it
 		e.slots = make([]*cudart.DevBuffer, len(p.Slots))
 	}
 	e.slots = e.slots[:len(p.Slots)]
 	e.pooled = e.pooled[:0]
 
-	fail := func(err error) ([]*cudart.DevBuffer, error) {
-		for _, b := range e.pooled {
-			tgt.Alloc.Release(b)
-		}
-		e.pooled = e.pooled[:0]
-		return nil, err
-	}
-
-	for i := range p.Ops {
-		o := &p.Ops[i]
-		deps := p.deps[o.depOff : o.depOff+o.depN]
-		switch o.Kind {
-		case OpAlloc:
-			s := p.Slots[o.Slot]
+	// Hoist the hot-loop state into locals: the loop body runs hundreds of
+	// thousands of times per replay and the compiler cannot otherwise prove
+	// these loads loop-invariant across the stream calls.
+	events, deps, comp := e.events, t.deps, tgt.Comp
+	link := [2]*cudart.Stream{machine.H2D: tgt.H2D, machine.D2H: tgt.D2H}
+	for i := range t.ops {
+		o := &t.ops[i]
+		switch o.code {
+		case tAlloc:
+			s := p.Slots[o.slot]
+			//lint:ignore hotpath Alloc is an interface by design; the sched.Pool implementation's Acquire is proved free at its own hot root
 			buf, err := tgt.Alloc.Acquire(s.Dtype, s.Elems)
 			if err != nil {
-				return fail(err)
+				for _, b := range e.pooled {
+					//lint:ignore hotpath acquire-failure unwind runs at most once per failed replay
+					tgt.Alloc.Release(b)
+				}
+				e.pooled = e.pooled[:0]
+				return nil, err
 			}
-			e.slots[o.Slot] = buf
+			e.slots[o.slot] = buf
+			//lint:ignore hotpath pooled reuses its backing array across replays; it grows only to the widest plan's slot count
 			e.pooled = append(e.pooled, buf)
-
-		case OpFetch:
-			for _, d := range deps {
-				tgt.H2D.WaitEvent(e.events[p.Ops[d].Ev])
+		case tTransfer:
+			s := link[o.dir]
+			for _, d := range deps[o.depOff : o.depOff+o.depN] {
+				s.WaitEvent(events[d])
 			}
-			dst := e.slots[o.Slot]
-			var ev *cudart.Event
-			var err error
-			if o.N == 0 {
-				v := args[o.A.Arg].Vec
-				var host []float64
-				if v.HostF64 != nil {
-					host = v.HostF64[o.A.Row:]
-				}
-				ev, err = tgt.H2D.MemcpyH2DAsync(dst, 0, host, nil, int64(o.M))
-			} else {
-				m := args[o.A.Arg].Mat
-				h64, h32 := m.HostSlices(int(o.A.Row), int(o.A.Col))
-				ev, err = tgt.H2D.SetMatrixAsync(int(o.M), int(o.N),
-					h64, h32, m.HostLd, dst, 0, int(o.M))
+			var w *cudart.Window
+			if args != nil {
+				win := window(&p.Ops[i], args)
+				w = &win
 			}
-			if err != nil {
-				return fail(err)
+			ev := s.TransferOp(o.dir, o.bytes, e.slots[o.slot], w)
+			if o.ev >= 0 {
+				events[o.ev] = ev
 			}
-			if o.Ev >= 0 {
-				e.events[o.Ev] = ev
+		case tKernel:
+			for _, d := range deps[o.depOff : o.depOff+o.depN] {
+				comp.WaitEvent(events[d])
 			}
-
-		case OpKernel:
-			for _, d := range deps {
-				tgt.Comp.WaitEvent(e.events[p.Ops[d].Ev])
+			var pl *cudart.Payload
+			if args != nil && o.name != nDispatch {
+				bound := p.payload(&p.Ops[i], args, e.slots)
+				pl = &bound
 			}
-			var ev *cudart.Event
-			var err error
-			switch o.Kernel {
-			case KDispatch:
-				ev, err = tgt.Comp.KernelAsync("dispatch", p.DispatchS, nil)
-			case KGemm:
-				aBuf, aOff, aLd := e.resolve(args, o.A)
-				bBuf, bOff, bLd := e.resolve(args, o.B)
-				cBuf, cOff, cLd := e.resolve(args, o.C)
-				ev, err = tgt.Comp.GemmAsync(o.TransA, o.TransB,
-					int(o.M), int(o.N), int(o.K), p.opAlpha(o),
-					aBuf, aOff, aLd, bBuf, bOff, bLd,
-					p.opBeta(o), cBuf, cOff, cLd)
-			case KGemv:
-				aBuf, aOff, aLd := e.resolve(args, o.A)
-				xBuf, xOff, _ := e.resolve(args, o.B)
-				yBuf, yOff, _ := e.resolve(args, o.C)
-				ev, err = tgt.Comp.GemvAsync(blas.NoTrans,
-					int(o.M), int(o.N), p.Alpha,
-					aBuf, aOff, aLd, xBuf, xOff, p.opBeta(o), yBuf, yOff)
-			case KAxpy:
-				xBuf, xOff, _ := e.resolve(args, o.A)
-				yBuf, yOff, _ := e.resolve(args, o.C)
-				ev, err = tgt.Comp.AxpyAsync(int(o.N), p.Alpha, xBuf, xOff, yBuf, yOff)
-			case KPotrf:
-				aBuf, aOff, aLd := e.resolve(args, o.A)
-				ev, err = tgt.Comp.PotrfAsync(o.Uplo, int(o.N), aBuf, aOff, aLd)
-			case KGetrf:
-				aBuf, aOff, aLd := e.resolve(args, o.A)
-				ev, err = tgt.Comp.GetrfAsync(int(o.N), aBuf, aOff, aLd)
-			case KTrsm:
-				aBuf, aOff, aLd := e.resolve(args, o.A)
-				bBuf, bOff, bLd := e.resolve(args, o.B)
-				ev, err = tgt.Comp.TrsmAsync(o.Side, o.Uplo, o.TransA, o.Diag,
-					int(o.M), int(o.N), p.opAlpha(o),
-					aBuf, aOff, aLd, bBuf, bOff, bLd)
-			case KSyrk:
-				aBuf, aOff, aLd := e.resolve(args, o.A)
-				cBuf, cOff, cLd := e.resolve(args, o.C)
-				ev, err = tgt.Comp.SyrkAsync(o.Uplo, o.TransA, int(o.N), int(o.K),
-					p.opAlpha(o), aBuf, aOff, aLd,
-					p.opBeta(o), cBuf, cOff, cLd)
-			}
-			if err != nil {
-				return fail(err)
-			}
-			if o.Ev >= 0 {
-				e.events[o.Ev] = ev
-			}
-
-		case OpWriteback:
-			for _, d := range deps {
-				tgt.D2H.WaitEvent(e.events[p.Ops[d].Ev])
-			}
-			src := e.slots[o.Slot]
-			var ev *cudart.Event
-			var err error
-			if o.N == 0 {
-				v := args[o.A.Arg].Vec
-				var host []float64
-				if v.HostF64 != nil {
-					host = v.HostF64[o.A.Row:]
-				}
-				ev, err = tgt.D2H.MemcpyD2HAsync(host, nil, src, 0, int64(o.M))
-			} else {
-				m := args[o.A.Arg].Mat
-				h64, h32 := m.HostSlices(int(o.A.Row), int(o.A.Col))
-				ev, err = tgt.D2H.GetMatrixAsync(int(o.M), int(o.N),
-					src, 0, int(o.M), h64, h32, m.HostLd)
-			}
-			if err != nil {
-				return fail(err)
-			}
-			if o.Ev >= 0 {
-				e.events[o.Ev] = ev
+			ev := comp.KernelOp(tapeNames[o.name], o.dur, pl)
+			if o.ev >= 0 {
+				events[o.ev] = ev
 			}
 		}
 	}
 
 	// Leave the streams in the exact state direct scheduling left them:
 	// waits the schedule registered but never consumed stay pending.
-	for _, id := range p.TailH2D {
-		tgt.H2D.WaitEvent(e.events[p.Ops[id].Ev])
+	for _, s := range t.tailH2D {
+		tgt.H2D.WaitEvent(e.events[s])
 	}
-	for _, id := range p.TailComp {
-		tgt.Comp.WaitEvent(e.events[p.Ops[id].Ev])
+	for _, s := range t.tailCmp {
+		tgt.Comp.WaitEvent(e.events[s])
 	}
 	return e.pooled, nil
+}
+
+// window binds a transfer op's host side: the op's M x N element window of
+// its bound operand (N == 0: M elements of a vector), staged at the slot's
+// origin with leading dimension M.
+func window(o *Op, args []Arg) cudart.Window {
+	a := args[o.A.Arg]
+	if o.N == 0 {
+		w := cudart.Window{Rows: int(o.M), Cols: 1}
+		if a.Vec.HostF64 != nil {
+			w.F64 = a.Vec.HostF64[o.A.Row:]
+		}
+		return w
+	}
+	h64, h32 := a.Mat.HostSlices(int(o.A.Row), int(o.A.Col))
+	return cudart.Window{F64: h64, F32: h32, HostLd: a.Mat.HostLd,
+		Rows: int(o.M), Cols: int(o.N), DevLd: int(o.M)}
+}
+
+// payloadKinds maps each payload-carrying kernel kind to its cudart body.
+var payloadKinds = [...]cudart.PayloadKind{
+	KGemm:  cudart.PayloadGemm,
+	KGemv:  cudart.PayloadGemv,
+	KAxpy:  cudart.PayloadAxpy,
+	KPotrf: cudart.PayloadPotrf,
+	KGetrf: cudart.PayloadGetrf,
+	KTrsm:  cudart.PayloadTrsm,
+	KSyrk:  cudart.PayloadSyrk,
+}
+
+// payload binds a kernel op's arithmetic: the launch shape and flags, the
+// resolved scalars and the three operand references.
+func (p *Plan) payload(o *Op, args []Arg, slots []*cudart.DevBuffer) cudart.Payload {
+	return cudart.Payload{
+		Kind:   payloadKinds[o.Kernel],
+		TransA: o.TransA, TransB: o.TransB, Side: o.Side, Uplo: o.Uplo, Diag: o.Diag,
+		M: int(o.M), N: int(o.N), K: int(o.K),
+		Alpha: p.opAlpha(o), Beta: p.opBeta(o),
+		A: resolve(o.A, args, slots), B: resolve(o.B, args, slots), C: resolve(o.C, args, slots),
+	}
+}
+
+// resolve maps a kernel operand reference to its device window: a staging
+// slot's buffer, a window of a bound device-resident operand, or nothing
+// for a reference the kernel kind does not use.
+func resolve(r Ref, args []Arg, slots []*cudart.DevBuffer) cudart.Operand {
+	switch {
+	case r.Slot >= 0:
+		return cudart.Operand{Buf: slots[r.Slot], Ld: int(r.Row)} // a slot ref's Row carries the ld
+	case r.Arg < 0:
+		return cudart.Operand{}
+	}
+	a := args[r.Arg]
+	if a.Mat != nil {
+		return cudart.Operand{Buf: a.Mat.Dev, Off: int64(r.Row) + int64(r.Col)*int64(a.Mat.DevLd), Ld: a.Mat.DevLd}
+	}
+	return cudart.Operand{Buf: a.Vec.Dev, Off: int64(r.Row)}
 }

@@ -1,6 +1,9 @@
 package plan
 
-import "cocopelia/internal/kernelmodel"
+import (
+	"cocopelia/internal/blas"
+	"cocopelia/internal/kernelmodel"
+)
 
 // OpID identifies one emitted op inside a graph under construction.
 // Negative ids are legal wherever a dependency is expected and mean
@@ -161,6 +164,7 @@ func (g *Graph) Gemv(m, n int32, beta BetaSel, a, x, y Ref, deps ...OpID) OpID {
 	g.deps(deps)
 	o, id := g.b.emit()
 	o.Kind, o.Kernel = OpKernel, KGemv
+	o.TransA = blas.NoTrans
 	o.M, o.N = m, n
 	o.Beta = beta
 	o.A, o.B, o.C = a, x, y
@@ -174,7 +178,7 @@ func (g *Graph) Axpy(n int32, x, y Ref, deps ...OpID) OpID {
 	o, id := g.b.emit()
 	o.Kind, o.Kernel = OpKernel, KAxpy
 	o.N = n
-	o.A, o.C = x, y
+	o.A, o.B, o.C = x, noRef, y
 	g.b.p.Subkernels++
 	return id
 }
@@ -186,7 +190,7 @@ func (g *Graph) Potrf(uplo byte, n int32, a Ref, deps ...OpID) OpID {
 	o, id := g.b.emit()
 	o.Kind, o.Kernel = OpKernel, KPotrf
 	o.Uplo, o.N = uplo, n
-	o.A = a
+	o.A, o.B, o.C = a, noRef, noRef
 	g.b.p.Subkernels++
 	return id
 }
@@ -197,7 +201,7 @@ func (g *Graph) Getrf(n int32, a Ref, deps ...OpID) OpID {
 	o, id := g.b.emit()
 	o.Kind, o.Kernel = OpKernel, KGetrf
 	o.N = n
-	o.A = a
+	o.A, o.B, o.C = a, noRef, noRef
 	g.b.p.Subkernels++
 	return id
 }
@@ -211,7 +215,7 @@ func (g *Graph) Trsm(side, uplo, transA, diag byte, m, n int32, alpha AlphaSel, 
 	o.Side, o.Uplo, o.TransA, o.Diag = side, uplo, transA, diag
 	o.M, o.N = m, n
 	o.Alpha = alpha
-	o.A, o.B = a, b
+	o.A, o.B, o.C = a, b, noRef
 	g.b.p.Subkernels++
 	return id
 }
@@ -225,7 +229,7 @@ func (g *Graph) Syrk(uplo, trans byte, n, k int32, alpha AlphaSel, beta BetaSel,
 	o.Uplo, o.TransA = uplo, trans
 	o.N, o.K = n, k
 	o.Alpha, o.Beta = alpha, beta
-	o.A, o.C = a, c
+	o.A, o.B, o.C = a, noRef, c
 	g.b.p.Subkernels++
 	return id
 }

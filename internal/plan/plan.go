@@ -73,6 +73,9 @@ type Ref struct {
 	Row, Col int32
 }
 
+// noRef marks an operand reference the op's kernel kind does not use.
+var noRef = Ref{Slot: -1, Arg: -1}
+
 // slotRef builds a staging-slot reference; Row carries the leading
 // dimension.
 func slotRef(slot, ld int32) Ref { return Ref{Slot: slot, Row: ld} }
@@ -267,34 +270,10 @@ func (p *Plan) Volumes() Volumes {
 // KernelSeconds sums the modeled execution time of every kernel op on gpu
 // — the compute term of the Werkhoven-style full-overlap lower bound
 // max(kernel sum, t_h2d, t_d2h). Dispatch ops contribute their fixed
-// duration; transfer ops contribute nothing.
+// duration; transfer ops contribute nothing. The durations are the ones
+// the plan's replay tape launches with.
 func (p *Plan) KernelSeconds(gpu *machine.GPUSpec) float64 {
-	sum := 0.0
-	for i := range p.Ops {
-		o := &p.Ops[i]
-		if o.Kind != OpKernel {
-			continue
-		}
-		switch o.Kernel {
-		case KDispatch:
-			sum += p.DispatchS
-		case KGemm:
-			sum += kernelmodel.GemmTime(gpu, p.Dtype, int(o.M), int(o.N), int(o.K))
-		case KGemv:
-			sum += kernelmodel.GemvTime(gpu, kernelmodel.F64, int(o.M), int(o.N))
-		case KAxpy:
-			sum += kernelmodel.AxpyTime(gpu, kernelmodel.F64, int(o.N))
-		case KPotrf:
-			sum += kernelmodel.PotrfTime(gpu, p.Dtype, int(o.N))
-		case KGetrf:
-			sum += kernelmodel.GetrfTime(gpu, p.Dtype, int(o.N))
-		case KTrsm:
-			sum += kernelmodel.TrsmTime(gpu, p.Dtype, o.Side, int(o.M), int(o.N))
-		case KSyrk:
-			sum += kernelmodel.SyrkTime(gpu, p.Dtype, int(o.N), int(o.K))
-		}
-	}
-	return sum
+	return p.TapeFor(gpu).kernelSeconds()
 }
 
 // TransferOps counts the plan's fetch and write-back operations. Each

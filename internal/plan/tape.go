@@ -3,39 +3,30 @@ package plan
 import (
 	"sync/atomic"
 
-	"cocopelia/internal/cudart"
 	"cocopelia/internal/kernelmodel"
 	"cocopelia/internal/machine"
 )
 
-// Tape is a plan precompiled for timing-only replay on one GPU model: a
-// flat instruction array with every per-op decision already taken. Where
-// Executor.Run re-derives each op's stream call per replay — nested kind
-// switches, transfer-size validation, operand resolution, memoized
-// kernel-duration lookups — the tape stores the outcome (stream code,
-// byte volume, kernel name and duration, dependency event slots) in
-// contiguous slices, so replay is a tight loop over plain data with no
-// per-op dispatch beyond one switch on the precomputed code.
-//
-// A tape is valid only for unbacked (timing-only) targets: functional
-// payloads and host-side windows are exactly what it strips. Executor.Run
-// remains the reference path for backed runs, and the two are pinned
-// event-identical by the plan package's replay tests.
+// Tape is a plan lowered for replay on one GPU model: a flat instruction
+// array with every operand-independent decision already taken — stream,
+// byte volume, kernel name and duration, dependency event slots — stored
+// in contiguous slices, so replay is a tight loop over plain data with one
+// switch on the precomputed code. It is the only lowering of a plan:
+// Executor.Replay runs it timing-only, or with operand bindings that
+// attach host windows and kernel payloads from the plan's op list.
 type Tape struct {
 	gpu     *machine.GPUSpec // kernel durations are GPU-model-specific
+	p       *Plan            // source of the operand references bindings resolve
 	ops     []tapeOp
 	deps    []int32 // dependency edges as completion-event slots
 	tailH2D []int32 // tail waits as completion-event slots
 	tailCmp []int32
-	evSlots int
-	slots   []Slot
 }
 
 // tapeOp codes: which stream the op runs on and what it enqueues.
 const (
 	tAlloc uint8 = iota
-	tFetch
-	tWriteback
+	tTransfer
 	tKernel
 )
 
@@ -77,8 +68,8 @@ type tapeOp struct {
 	ev           int32   // completion-event slot, -1 when nothing waits
 	depOff, depN int32   // window into Tape.deps
 	code         uint8
-	name         uint8 // kernel-name index into tapeNames
-	dir          machine.LinkDir
+	name         uint8           // kernel-name index into tapeNames
+	dir          machine.LinkDir // transfer direction, which picks the stream
 }
 
 // TapeFor returns the plan's replay tape for the given GPU model,
@@ -116,18 +107,16 @@ func (m *tapeMemo) get(key int64, eval func() float64) float64 {
 	return d
 }
 
-// compileTape lowers a plan to its flat enqueue tape, evaluating the same
-// kernel-duration model the cudart launch path would consult (memoized
-// there, precomputed here) so replay timing is bit-identical.
+// compileTape lowers a plan to its flat enqueue tape, evaluating each
+// kernel's duration once per distinct shape.
 func compileTape(p *Plan, gpu *machine.GPUSpec) *Tape {
 	t := &Tape{
 		gpu:     gpu,
+		p:       p,
 		ops:     make([]tapeOp, len(p.Ops)),
 		deps:    make([]int32, len(p.deps)),
 		tailH2D: evSlotsOf(p, p.TailH2D),
 		tailCmp: evSlotsOf(p, p.TailComp),
-		evSlots: p.EvSlots,
-		slots:   p.Slots,
 	}
 	for i, d := range p.deps {
 		t.deps[i] = p.Ops[d].Ev
@@ -144,10 +133,10 @@ func compileTape(p *Plan, gpu *machine.GPUSpec) *Tape {
 		case OpAlloc:
 			to.code = tAlloc
 		case OpFetch:
-			to.code, to.dir = tFetch, machine.H2D
+			to.code, to.dir = tTransfer, machine.H2D
 			to.bytes = tapeBytes(p, o)
 		case OpWriteback:
-			to.code, to.dir = tWriteback, machine.D2H
+			to.code, to.dir = tTransfer, machine.D2H
 			to.bytes = tapeBytes(p, o)
 		case OpKernel:
 			to.code = tKernel
@@ -215,88 +204,15 @@ func evSlotsOf(p *Plan, ids []int32) []int32 {
 	return out
 }
 
-// RunTape replays a precompiled tape onto tgt: the batched, timing-only
-// counterpart of Run, issuing the identical stream-call sequence (and so
-// the identical simulation events) with no per-op validation, resolution
-// or duration lookups. The target must be unbacked; backed runs take Run.
-//
-// Like Run it returns the acquired staging buffers for the caller to
-// release after the engine drains, releasing them itself on error.
-//
-//cocolint:hotpath
-func (e *Executor) RunTape(t *Tape, tgt Target) ([]*cudart.DevBuffer, error) {
-	// Event slots need no clearing between replays: a dependency edge always
-	// references an op emitted earlier in the tape, so every slot is written
-	// before it is read (stale pointers from a previous replay are never
-	// observed). The replay property tests pin this.
-	if cap(e.events) < t.evSlots {
-		//lint:ignore hotpath grow-once scratch: reallocated only when a replay needs more event slots than any before it
-		e.events = make([]*cudart.Event, t.evSlots)
-	}
-	e.events = e.events[:t.evSlots]
-	if cap(e.slots) < len(t.slots) {
-		//lint:ignore hotpath grow-once scratch: reallocated only when a replay needs more staging slots than any before it
-		e.slots = make([]*cudart.DevBuffer, len(t.slots))
-	}
-	e.slots = e.slots[:len(t.slots)]
-	e.pooled = e.pooled[:0]
-
-	// Hoist the hot-loop state into locals: the loop body runs hundreds of
-	// thousands of times per replay and the compiler cannot otherwise prove
-	// these loads loop-invariant across the stream calls.
-	events, deps, h2d, d2h, comp := e.events, t.deps, tgt.H2D, tgt.D2H, tgt.Comp
+// kernelSeconds sums the tape's kernel durations in op order.
+func (t *Tape) kernelSeconds() float64 {
+	sum := 0.0
 	for i := range t.ops {
-		o := &t.ops[i]
-		switch o.code {
-		case tAlloc:
-			s := t.slots[o.slot]
-			//lint:ignore hotpath Alloc is an interface by design; the sched.Pool implementation's Acquire is proved free at its own hot root
-			buf, err := tgt.Alloc.Acquire(s.Dtype, s.Elems)
-			if err != nil {
-				for _, b := range e.pooled {
-					//lint:ignore hotpath acquire-failure unwind runs at most once per failed replay
-					tgt.Alloc.Release(b)
-				}
-				e.pooled = e.pooled[:0]
-				return nil, err
-			}
-			e.slots[o.slot] = buf
-			//lint:ignore hotpath pooled reuses its backing array across replays; it grows only to the widest plan's slot count
-			e.pooled = append(e.pooled, buf)
-		case tFetch:
-			for _, d := range deps[o.depOff : o.depOff+o.depN] {
-				h2d.WaitEvent(events[d])
-			}
-			ev := h2d.TransferOp(o.dir, o.bytes, e.slots[o.slot])
-			if o.ev >= 0 {
-				events[o.ev] = ev
-			}
-		case tWriteback:
-			for _, d := range deps[o.depOff : o.depOff+o.depN] {
-				d2h.WaitEvent(events[d])
-			}
-			ev := d2h.TransferOp(o.dir, o.bytes, e.slots[o.slot])
-			if o.ev >= 0 {
-				events[o.ev] = ev
-			}
-		case tKernel:
-			for _, d := range deps[o.depOff : o.depOff+o.depN] {
-				comp.WaitEvent(events[d])
-			}
-			ev := comp.KernelOp(tapeNames[o.name], o.dur)
-			if o.ev >= 0 {
-				events[o.ev] = ev
-			}
+		if t.ops[i].code == tKernel {
+			sum += t.ops[i].dur
 		}
 	}
-
-	for _, s := range t.tailH2D {
-		tgt.H2D.WaitEvent(e.events[s])
-	}
-	for _, s := range t.tailCmp {
-		tgt.Comp.WaitEvent(e.events[s])
-	}
-	return e.pooled, nil
+	return sum
 }
 
 // tapeSlot is the Plan field backing TapeFor's cache. The alias lives here

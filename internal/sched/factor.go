@@ -71,7 +71,7 @@ func matchFactorPlan(p *plan.Plan, routine string, dt kernelmodel.Dtype, n, T in
 // lower triangle is overwritten by L. Tiles strictly above the diagonal
 // are never touched; above-diagonal entries inside diagonal tiles hold
 // intermediate update values on return (the SYRK payload writes full
-// tiles — see cudart.SyrkAsync).
+// tiles — see cudart.PayloadSyrk).
 func (c *Context) Cholesky(opts CholeskyOpts) (Result, error) {
 	p, err := c.PlanCholesky(opts)
 	if err != nil {

@@ -1,9 +1,12 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 
 	"cocopelia/internal/blas"
+	"cocopelia/internal/cudart"
+	"cocopelia/internal/device"
 	"cocopelia/internal/kernelmodel"
 	"cocopelia/internal/machine"
 	"cocopelia/internal/model"
@@ -11,23 +14,67 @@ import (
 	"cocopelia/internal/sim"
 )
 
-// The tape-replay tests pin plan.RunTape to the reference Executor.Run on
-// timing-only contexts: both paths must issue the identical stream-call
-// sequence and therefore produce the identical simulation — same end time,
-// same processed-event count, same per-direction link traffic.
+// The replay tests pin the bound replay to the bare one: replaying a plan
+// on a backed context with seeded operands — every transfer carrying its
+// host window, every kernel its payload — must produce the identical
+// simulation as replaying the same plan timing-only: same end time, same
+// processed-event count, same per-direction link traffic.
 
-// timingMat returns a storage-free operand at loc (device buffers are
-// allocated unbacked when needed).
-func timingMat(t *testing.T, c *Context, rows, cols int, loc model.Loc) *Matrix {
-	t.Helper()
+// replayOperands builds a scenario's operands: seeded data on backed
+// contexts, storage-free descriptors on timing-only ones. Device-resident
+// data is written straight into the buffer so no setup transfer touches
+// the simulation.
+type replayOperands struct {
+	t      *testing.T
+	c      *Context
+	backed bool
+	rng    *rand.Rand
+}
+
+// random returns a generator of seeded rows x cols values; boost, when
+// positive, is added to the diagonal of a square result.
+func (r replayOperands) random(rows, cols int, boost float64) func() []float64 {
+	return func() []float64 {
+		d := randMat(r.rng, rows, cols)
+		for j := 0; j < rows && j < cols; j++ {
+			d[j+j*rows] += boost
+		}
+		return d
+	}
+}
+
+// storage returns gen's data on backed contexts and nil otherwise, plus a
+// device buffer of n elements holding it when loc is the device.
+func (r replayOperands) storage(n int, loc model.Loc, gen func() []float64) ([]float64, *cudart.DevBuffer) {
+	r.t.Helper()
+	var data []float64
+	if r.backed {
+		data = gen()
+	}
 	if loc == model.OnHost {
-		return &Matrix{Rows: rows, Cols: cols, Loc: model.OnHost, HostLd: rows}
+		return data, nil
 	}
-	buf, err := c.rt.Malloc(kernelmodel.F64, int64(rows)*int64(cols), false)
+	buf, err := r.c.rt.Malloc(kernelmodel.F64, int64(n), r.backed)
 	if err != nil {
-		t.Fatal(err)
+		r.t.Fatal(err)
 	}
-	return &Matrix{Rows: rows, Cols: cols, Loc: model.OnDevice, Dev: buf, DevLd: rows}
+	copy(buf.F64(), data)
+	return nil, buf
+}
+
+// mat builds a rows x cols matrix operand at loc.
+func (r replayOperands) mat(rows, cols int, loc model.Loc, gen func() []float64) *Matrix {
+	host, dev := r.storage(rows*cols, loc, gen)
+	if dev != nil {
+		return &Matrix{Rows: rows, Cols: cols, Loc: loc, Dev: dev, DevLd: rows}
+	}
+	return &Matrix{Rows: rows, Cols: cols, Loc: loc, HostF64: host, HostLd: rows}
+}
+
+// vec builds a length-n vector operand at loc.
+func (r replayOperands) vec(n int, loc model.Loc) *Vector {
+	host, dev := r.storage(n, loc, r.random(n, 1, 0))
+	return &Vector{N: n, Loc: loc, HostF64: host, Dev: dev}
 }
 
 type replayTrace struct {
@@ -37,20 +84,17 @@ type replayTrace struct {
 	transfers int64
 }
 
-// replayOnce builds a fresh timing-only context, lets build produce the
-// plan and its bound arguments, replays through the selected path, and
-// drains the simulation.
-func replayOnce(t *testing.T, tape bool, build func(c *Context) (*plan.Plan, []plan.Arg)) replayTrace {
+// replayOnce builds a fresh noisy context, lets build produce the plan and
+// its bound arguments, replays the plan's tape — with the bindings on a
+// backed context, without them otherwise — and drains the simulation.
+func replayOnce(t *testing.T, backed bool, build func(r replayOperands) (*plan.Plan, []plan.Arg)) replayTrace {
 	t.Helper()
-	c := newCtx(false)
-	p, args := build(c)
-	var err error
-	if tape {
-		_, err = c.exec.RunTape(p.TapeFor(&c.rt.Device().Testbed().GPU), c.target())
-	} else {
-		_, err = c.exec.Run(p, c.target(), args)
+	c := NewContext(cudart.New(device.New(sim.New(), machine.TestbedI(), 7, false)), backed)
+	p, args := build(replayOperands{t: t, c: c, backed: backed, rng: rand.New(rand.NewSource(3))})
+	if !backed {
+		args = nil
 	}
-	if err != nil {
+	if _, err := c.exec.Replay(p.TapeFor(&c.rt.Device().Testbed().GPU), c.target(), args); err != nil {
 		t.Fatal(err)
 	}
 	end, err := c.rt.Sync()
@@ -68,24 +112,24 @@ func replayOnce(t *testing.T, tape bool, build func(c *Context) (*plan.Plan, []p
 	}
 }
 
-func checkTapeMatchesRun(t *testing.T, name string, build func(c *Context) (*plan.Plan, []plan.Arg)) {
+func checkBoundMatchesBare(t *testing.T, build func(r replayOperands) (*plan.Plan, []plan.Arg)) {
 	t.Helper()
-	ref := replayOnce(t, false, build)
-	got := replayOnce(t, true, build)
-	if got != ref {
-		t.Errorf("%s: tape replay diverged from Executor.Run:\n  run  %+v\n  tape %+v", name, ref, got)
+	bare := replayOnce(t, false, build)
+	bound := replayOnce(t, true, build)
+	if bound != bare {
+		t.Errorf("backed replay diverged from timing-only replay:\n  timing-only %+v\n  backed      %+v", bare, bound)
 	}
-	if ref.processed == 0 {
-		t.Errorf("%s: reference replay processed no events", name)
+	if bare.processed == 0 {
+		t.Error("timing-only replay processed no events")
 	}
 }
 
 func TestTapeReplayMatchesRun(t *testing.T) {
 	H, D := model.OnHost, model.OnDevice
 	gemm := func(dt kernelmodel.Dtype, transA, transB byte, m, n, k, T int, alpha, beta float64,
-		locs [3]model.Loc, dispatch float64) func(c *Context) (*plan.Plan, []plan.Arg) {
-		return func(c *Context) (*plan.Plan, []plan.Arg) {
-			c.SetDispatchOverhead(dispatch)
+		locs [3]model.Loc, dispatch float64, noReuse bool) func(r replayOperands) (*plan.Plan, []plan.Arg) {
+		return func(r replayOperands) (*plan.Plan, []plan.Arg) {
+			r.c.SetDispatchOverhead(dispatch)
 			ar, ac := m, k
 			if transA == blas.Trans {
 				ar, ac = k, m
@@ -97,119 +141,112 @@ func TestTapeReplayMatchesRun(t *testing.T) {
 			opts := GemmOpts{
 				Dtype: dt, TransA: transA, TransB: transB,
 				M: m, N: n, K: k, Alpha: alpha, Beta: beta, T: T,
-				A: timingMat(t, c, ar, ac, locs[0]),
-				B: timingMat(t, c, br, bc, locs[1]),
-				C: timingMat(t, c, m, n, locs[2]),
+				A: r.mat(ar, ac, locs[0], r.random(ar, ac, 0)),
+				B: r.mat(br, bc, locs[1], r.random(br, bc, 0)),
+				C: r.mat(m, n, locs[2], r.random(m, n, 0)),
 			}
-			p, err := c.PlanGemm(opts)
+			if dt == kernelmodel.F32 {
+				for _, mat := range []*Matrix{opts.A, opts.B, opts.C} {
+					mat.HostF32 = make([]float32, len(mat.HostF64))
+					for i, v := range mat.HostF64 {
+						mat.HostF32[i] = float32(v)
+					}
+					mat.HostF64 = nil
+				}
+			}
+			build := r.c.PlanGemm
+			if noReuse {
+				build = r.c.PlanGemmNoReuse
+			}
+			p, err := build(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return p, gemmArgs(opts)
 		}
 	}
-
-	t.Run("gemm-hhh", func(t *testing.T) {
-		checkTapeMatchesRun(t, "gemm-hhh",
-			gemm(kernelmodel.F64, blas.NoTrans, blas.NoTrans, 96, 64, 80, 32, 1.5, 0.5, [3]model.Loc{H, H, H}, 0))
-	})
-	t.Run("gemm-dhd-beta0", func(t *testing.T) {
-		checkTapeMatchesRun(t, "gemm-dhd-beta0",
-			gemm(kernelmodel.F64, blas.NoTrans, blas.NoTrans, 64, 96, 64, 32, 2, 0, [3]model.Loc{D, H, D}, 0))
-	})
-	t.Run("gemm-f32-trans-dispatch", func(t *testing.T) {
-		checkTapeMatchesRun(t, "gemm-f32-trans-dispatch",
-			gemm(kernelmodel.F32, blas.Trans, blas.NoTrans, 64, 64, 96, 32, 1, 1, [3]model.Loc{H, H, H}, 1e-5))
-	})
-	t.Run("gemm-noreuse", func(t *testing.T) {
-		checkTapeMatchesRun(t, "gemm-noreuse", func(c *Context) (*plan.Plan, []plan.Arg) {
-			opts := GemmOpts{
-				Dtype: kernelmodel.F64, M: 96, N: 96, K: 64, Alpha: 1, Beta: 1, T: 32,
-				A: timingMat(t, c, 96, 64, H),
-				B: timingMat(t, c, 64, 96, H),
-				C: timingMat(t, c, 96, 96, H),
-			}
-			p, err := c.PlanGemmNoReuse(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p, gemmArgs(opts)
-		})
-	})
-	t.Run("gemv", func(t *testing.T) {
-		checkTapeMatchesRun(t, "gemv", func(c *Context) (*plan.Plan, []plan.Arg) {
+	gemv := func(locX model.Loc) func(r replayOperands) (*plan.Plan, []plan.Arg) {
+		return func(r replayOperands) (*plan.Plan, []plan.Arg) {
 			opts := GemvOpts{
 				M: 96, N: 64, Alpha: 1.25, Beta: 0.75, T: 32,
-				A: timingMat(t, c, 96, 64, H),
-				X: &Vector{N: 64, Loc: model.OnHost},
-				Y: &Vector{N: 96, Loc: model.OnHost},
+				A: r.mat(96, 64, H, r.random(96, 64, 0)),
+				X: r.vec(64, locX),
+				Y: r.vec(96, H),
 			}
-			p, err := c.PlanGemv(opts)
+			p, err := r.c.PlanGemv(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return p, gemvArgs(opts)
-		})
-	})
-	t.Run("axpy", func(t *testing.T) {
-		checkTapeMatchesRun(t, "axpy", func(c *Context) (*plan.Plan, []plan.Arg) {
-			opts := AxpyOpts{
-				N: 1000, Alpha: 1.1, T: 256,
-				X: &Vector{N: 1000, Loc: model.OnHost},
-				Y: &Vector{N: 1000, Loc: model.OnHost},
-			}
-			p, err := c.PlanAxpy(opts)
+		}
+	}
+	axpy := func(locX model.Loc) func(r replayOperands) (*plan.Plan, []plan.Arg) {
+		return func(r replayOperands) (*plan.Plan, []plan.Arg) {
+			opts := AxpyOpts{N: 1000, Alpha: 1.1, T: 256, X: r.vec(1000, locX), Y: r.vec(1000, H)}
+			p, err := r.c.PlanAxpy(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return p, []plan.Arg{{Vec: opts.X}, {Vec: opts.Y}}
-		})
-	})
-	t.Run("cholesky", func(t *testing.T) {
-		checkTapeMatchesRun(t, "cholesky", func(c *Context) (*plan.Plan, []plan.Arg) {
-			opts := CholeskyOpts{Dtype: kernelmodel.F64, N: 100, T: 32,
-				A: timingMat(t, c, 100, 100, H)}
-			p, err := c.PlanCholesky(opts)
+		}
+	}
+	cholesky := func(n int, loc model.Loc) func(r replayOperands) (*plan.Plan, []plan.Arg) {
+		return func(r replayOperands) (*plan.Plan, []plan.Arg) {
+			opts := CholeskyOpts{Dtype: kernelmodel.F64, N: n, T: 32,
+				A: r.mat(n, n, loc, func() []float64 { return spdMatrix(r.rng, n) })}
+			p, err := r.c.PlanCholesky(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return p, []plan.Arg{{Mat: opts.A}}
-		})
-	})
-	t.Run("cholesky-device", func(t *testing.T) {
-		checkTapeMatchesRun(t, "cholesky-device", func(c *Context) (*plan.Plan, []plan.Arg) {
-			opts := CholeskyOpts{Dtype: kernelmodel.F64, N: 96, T: 32,
-				A: timingMat(t, c, 96, 96, D)}
-			p, err := c.PlanCholesky(opts)
+		}
+	}
+	lu := func(n int, loc model.Loc) func(r replayOperands) (*plan.Plan, []plan.Arg) {
+		return func(r replayOperands) (*plan.Plan, []plan.Arg) {
+			opts := LUOpts{Dtype: kernelmodel.F64, N: n, T: 32, A: r.mat(n, n, loc, r.random(n, n, float64(n)))}
+			p, err := r.c.PlanLU(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return p, []plan.Arg{{Mat: opts.A}}
-		})
-	})
-	t.Run("lu", func(t *testing.T) {
-		checkTapeMatchesRun(t, "lu", func(c *Context) (*plan.Plan, []plan.Arg) {
-			opts := LUOpts{Dtype: kernelmodel.F64, N: 100, T: 32,
-				A: timingMat(t, c, 100, 100, H)}
-			p, err := c.PlanLU(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p, []plan.Arg{{Mat: opts.A}}
-		})
-	})
-	t.Run("trsm", func(t *testing.T) {
-		checkTapeMatchesRun(t, "trsm", func(c *Context) (*plan.Plan, []plan.Arg) {
+		}
+	}
+	trsm := func(locA, locB model.Loc) func(r replayOperands) (*plan.Plan, []plan.Arg) {
+		return func(r replayOperands) (*plan.Plan, []plan.Arg) {
 			opts := TrsmOpts{Dtype: kernelmodel.F64, M: 96, N: 64, Alpha: 0.75, T: 32,
-				A: timingMat(t, c, 96, 96, H),
-				B: timingMat(t, c, 96, 64, H)}
-			p, err := c.PlanTrsm(opts)
+				A: r.mat(96, 96, locA, r.random(96, 96, 96)),
+				B: r.mat(96, 64, locB, r.random(96, 64, 0))}
+			p, err := r.c.PlanTrsm(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return p, []plan.Arg{{Mat: opts.A}, {Mat: opts.B}}
-		})
-	})
+		}
+	}
+
+	cases := []struct {
+		name  string
+		build func(r replayOperands) (*plan.Plan, []plan.Arg)
+	}{
+		{"gemm-hhh", gemm(kernelmodel.F64, blas.NoTrans, blas.NoTrans, 96, 64, 80, 32, 1.5, 0.5, [3]model.Loc{H, H, H}, 0, false)},
+		{"gemm-dhd-beta0", gemm(kernelmodel.F64, blas.NoTrans, blas.NoTrans, 64, 96, 64, 32, 2, 0, [3]model.Loc{D, H, D}, 0, false)},
+		{"gemm-f32-trans-dispatch", gemm(kernelmodel.F32, blas.Trans, blas.NoTrans, 64, 64, 96, 32, 1, 1, [3]model.Loc{H, H, H}, 1e-5, false)},
+		{"gemm-noreuse", gemm(kernelmodel.F64, blas.NoTrans, blas.NoTrans, 96, 96, 64, 32, 1, 1, [3]model.Loc{H, H, H}, 0, true)},
+		{"gemm-noreuse-device", gemm(kernelmodel.F64, blas.NoTrans, blas.NoTrans, 96, 96, 64, 32, 1, 1, [3]model.Loc{D, D, D}, 0, true)},
+		{"gemv", gemv(H)},
+		{"gemv-device-x", gemv(D)},
+		{"axpy", axpy(H)},
+		{"axpy-device-x", axpy(D)},
+		{"cholesky", cholesky(100, H)},
+		{"cholesky-device", cholesky(96, D)},
+		{"lu", lu(100, H)},
+		{"lu-device", lu(96, D)},
+		{"trsm", trsm(H, H)},
+		{"trsm-device", trsm(D, D)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { checkBoundMatchesBare(t, tc.build) })
+	}
 }
 
 // tapeFixture builds a warm timing-only context with a compiled gemm tape:
@@ -234,7 +271,7 @@ func tapeFixture(tb testing.TB, m, n, k, T int) (*Context, *plan.Tape) {
 // replayTapeOnce replays the tape, drains the engine and releases the
 // staging buffers back to the pool.
 func replayTapeOnce(tb testing.TB, c *Context, tape *plan.Tape) {
-	pooled, err := c.exec.RunTape(tape, c.target())
+	pooled, err := c.exec.Replay(tape, c.target(), nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

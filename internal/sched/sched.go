@@ -6,10 +6,12 @@
 //
 // The scheduler is split into planners and an executor: every entry point
 // validates its operands, builds a deterministic tile-operation plan
-// (internal/plan) and replays it onto the context's streams. Plans are pure
-// functions of the routine geometry, so callers that repeat an invocation
-// shape (campaign sweeps, multi-GPU panels) build the plan once and replay
-// it with Plan*/​*With; the replay is event-identical to direct scheduling.
+// (internal/plan) and replays the plan's compiled tape onto the context's
+// streams — with the operands bound on backed contexts, so the same replay
+// also moves real data and runs real arithmetic. Plans are pure functions
+// of the routine geometry, so callers that repeat an invocation shape
+// (campaign sweeps, multi-GPU panels) build the plan once and replay it
+// with Plan*/*With; the replay is event-identical to direct scheduling.
 package sched
 
 import (
@@ -63,9 +65,9 @@ type Context struct {
 	pool   []poolBucket
 	backed bool
 
-	// exec replays tile plans onto the streams; it owns the per-call
+	// exec replays plan tapes onto the streams; it owns the per-call
 	// scratch (event table, slot bindings, acquired-buffer list), so the
-	// replay loops allocate nothing once the context is warm.
+	// replay loop allocates nothing once the context is warm.
 	exec plan.Executor
 	// overheadS is an optional per-sub-kernel dispatch overhead occupying
 	// the compute pipeline; the CoCoPeLia library leaves it zero, while
@@ -450,20 +452,17 @@ func (c *Context) replayGemm(p *plan.Plan, opts GemmOpts) (*PendingGemm, error) 
 	return c.enqueuePlan(p, gemmArgs(opts))
 }
 
-// enqueuePlan replays a validated plan on the context's streams without
-// draining the engine — through the precompiled timing-only tape on
-// unbacked contexts, through the reference executor otherwise (the two are
-// pinned event-identical by the scheduler's tape-replay tests).
+// enqueuePlan replays a validated plan's tape on the context's streams
+// without draining the engine. Backed contexts bind the operands, so the
+// replay carries host windows and kernel payloads; timing-only contexts
+// bind none, since their buffers hold no data.
 func (c *Context) enqueuePlan(p *plan.Plan, args []plan.Arg) (*PendingGemm, error) {
 	res := Result{T: p.T, Subkernels: p.Subkernels, BytesH2D: p.BytesH2D, BytesD2H: p.BytesD2H}
 	start := c.rt.Now()
-	var pooled []*cudart.DevBuffer
-	var err error
-	if c.backed {
-		pooled, err = c.exec.Run(p, c.target(), args)
-	} else {
-		pooled, err = c.exec.RunTape(p.TapeFor(&c.rt.Device().Testbed().GPU), c.target())
+	if !c.backed {
+		args = nil
 	}
+	pooled, err := c.exec.Replay(p.TapeFor(&c.rt.Device().Testbed().GPU), c.target(), args)
 	if err != nil {
 		return nil, err
 	}
