@@ -2,8 +2,8 @@ GO ?= go
 
 .PHONY: build test vet fmt lint lint-json race verify bench bench-blas \
 	bench-blas-check bench-blas-smoke bench-campaign bench-campaign-check \
-	bench-campaign-smoke bench-factor bench-factor-check cross-arm64 \
-	eval-check plan-golden-smoke profile results
+	bench-campaign-smoke bench-factor bench-factor-check bench-micro \
+	bench-micro-smoke cross-arm64 eval-check plan-golden-smoke profile results
 
 build:
 	$(GO) build ./...
@@ -41,16 +41,32 @@ race:
 
 # verify is the pre-commit gate: compile, vet, the gofmt check, the
 # invariant analyzers, the race-enabled suite, the build-only benchmark
-# smoke, a sub-second run of the campaign-throughput mode, the
+# smoke, one iteration of every per-layer microbenchmark, a sub-second run of the campaign-throughput mode, the
 # factorization-sweep identity gate, the golden tile-plan check, the
 # committed-figures identity gate, and the arm64 cross-compile (the NEON
 # kernels have no native CI runner, so assemble+vet is their regression
 # gate).
-verify: build vet fmt lint race bench-blas-smoke bench-campaign-smoke \
-	bench-factor-check plan-golden-smoke eval-check cross-arm64
+verify: build vet fmt lint race bench-blas-smoke bench-micro-smoke \
+	bench-campaign-smoke bench-factor-check plan-golden-smoke eval-check \
+	cross-arm64
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
+
+# MICRO_BENCH names the per-layer microbenchmarks of the timing path: the
+# DES step, link Submit to finish, the cudart dynamic op path and static
+# graph launch (each launch to Sync), and a full plan replay.
+MICRO_BENCH = BenchmarkEngineThroughput|BenchmarkSubmitFinish|BenchmarkDynamicLaunch|BenchmarkGraphLaunch|BenchmarkReplay$$
+MICRO_PKGS = ./internal/sim ./internal/link ./internal/cudart ./internal/sched
+
+# bench-micro measures the per-layer microbenchmarks (ns/op, allocs/op).
+bench-micro:
+	$(GO) test -run '^$$' -bench '$(MICRO_BENCH)' -benchmem $(MICRO_PKGS)
+
+# bench-micro-smoke runs each microbenchmark once, so verify keeps them
+# compiling and running without spending time measuring.
+bench-micro-smoke:
+	$(GO) test -run '^$$' -bench '$(MICRO_BENCH)' -benchtime=1x $(MICRO_PKGS)
 
 # bench-blas measures the host GEMM payload engine (blocked vs naive,
 # serial and pooled) and writes GFLOP/s per (routine, size) as JSON.

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math"
 
+	"cocopelia/internal/blas"
 	"cocopelia/internal/cudart"
 	"cocopelia/internal/device"
 	"cocopelia/internal/kernelmodel"
@@ -90,6 +91,16 @@ var ErrHostWindow = cudart.ErrHostWindow
 // ErrDeviceWindow is returned when a device-resident operand's shape and
 // leading dimension address more elements than its device buffer holds.
 var ErrDeviceWindow = operand.ErrDeviceWindow
+
+// ErrSingular is wrapped by the error a backed Dgetrf returns when a tile
+// kernel meets an exactly zero pivot. The call's schedule still runs to
+// completion, so the session stays usable.
+var ErrSingular = blas.ErrSingular
+
+// ErrNotPositiveDefinite is wrapped by the error a backed Dpotrf returns
+// when a tile kernel meets a leading minor that is not positive. The
+// session stays usable.
+var ErrNotPositiveDefinite = blas.ErrNotPositiveDefinite
 
 // TestbedI returns the simulated equivalent of the paper's Testbed I
 // (Tesla K40, PCIe Gen2 x8).

@@ -337,6 +337,76 @@ func TestDeviceOperandRejectsShortBuffer(t *testing.T) {
 	}
 }
 
+// TestFactorPayloadErrorKeepsSession runs backed factorizations whose tile
+// kernels fail numerically and requires the named blas error from the call
+// instead of a panic, then requires that the same session still runs a
+// valid factorization correctly (the failed call's schedule drained, so no
+// operation is left blocked).
+func TestFactorPayloadErrorKeepsSession(t *testing.T) {
+	const n, T = 64, 32
+	identity := func() []float64 {
+		a := make([]float64, n*n)
+		for i := 0; i < n; i++ {
+			a[i+i*n] = 1
+		}
+		return a
+	}
+	getrf := func(lib *Library, a []float64) error {
+		_, err := lib.DgetrfTile(n, HostMatrix(n, n, a), T)
+		return err
+	}
+	potrf := func(lib *Library, a []float64) error {
+		_, err := lib.DpotrfTile(n, HostMatrix(n, n, a), T)
+		return err
+	}
+	cases := []struct {
+		name string
+		bad  func(lib *Library) error
+		want error
+	}{
+		{"getrf zeros", func(lib *Library) error { return getrf(lib, make([]float64, n*n)) }, ErrSingular},
+		{"getrf zero trailing pivot", func(lib *Library) error {
+			a := identity()
+			a[(n-1)+(n-1)*n] = 0
+			return getrf(lib, a)
+		}, ErrSingular},
+		{"potrf zeros", func(lib *Library) error { return potrf(lib, make([]float64, n*n)) }, ErrNotPositiveDefinite},
+		{"potrf negative diagonal", func(lib *Library) error {
+			a := identity()
+			a[T+T*n] = -1
+			return potrf(lib, a)
+		}, ErrNotPositiveDefinite},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			lib := openBacked(t)
+			defer lib.Close()
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				return c.bad(lib)
+			}()
+			if !errors.Is(err, c.want) {
+				t.Fatalf("err = %v, want %v", err, c.want)
+			}
+			for _, valid := range []func(*Library, []float64) error{getrf, potrf} {
+				a := identity()
+				if err := valid(lib, a); err != nil {
+					t.Fatalf("session unusable after the failed call: %v", err)
+				}
+				for i, v := range identity() {
+					if a[i] != v {
+						t.Fatalf("factor of the identity differs at %d: %v", i, a[i])
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestSelectionCachedAndPlausible(t *testing.T) {
 	lib := openTiming(t)
 	defer lib.Close()

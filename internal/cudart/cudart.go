@@ -18,13 +18,21 @@
 // real arithmetic/data movement on backed buffers, so schedulers are
 // verified numerically and timed by the same code path.
 //
-// The launch path is allocation-free in steady state: per-launch op objects
-// and their completion events come from runtime-owned free lists, operand
-// descriptions live in fields of the op (dispatched by kind) instead of
-// per-call closures, and the dependency-edge slices reuse their backing
-// arrays. Ops recycle as soon as their hardware work completes; events
-// recycle at the next successful Sync, which is also when every stream's
-// tail is reset to the shared pre-completed event.
+// Work reaches the hardware along two paths. The dynamic op path —
+// the checked copies, the BLAS Async wrappers, KernelAsync and Callback —
+// enqueues one op at a time, each with a completion event and waiter
+// edges. The static path (graph.go) launches a whole dependency graph
+// known in advance, such as a compiled plan tape, with index-addressed
+// completion and real events only at its boundary. Both produce the same
+// hardware calls in the same order.
+//
+// The dynamic path is allocation-free in steady state: per-launch op
+// objects and their completion events come from runtime-owned free lists,
+// operand descriptions live in fields of the op (dispatched by kind)
+// instead of per-call closures, and the dependency-edge slices reuse their
+// backing arrays. Ops recycle as soon as their hardware work completes;
+// events recycle at the next successful Sync, which is also when every
+// stream's tail is reset to the shared pre-completed event.
 package cudart
 
 import (
@@ -76,6 +84,7 @@ const (
 	opCallback opKind = iota // host function, zero duration
 	opKernel                 // compute-engine kernel
 	opTransfer               // link transfer in direction dir
+	opBridge                 // a graph's wait on prior stream work; runs payload when satisfied
 )
 
 // op is one scheduled stream operation. Ops are recycled through the
@@ -204,6 +213,12 @@ type Runtime struct {
 	// the default blas.KernelExact keeps the bitwise oracle contract;
 	// blas.KernelFMA opts into the fused (ULP-bounded) micro-kernels.
 	payloadPolicy blas.KernelPolicy
+	// payloadErr is the first error a kernel payload returned since the
+	// last Sync; the simulation drains regardless and Sync reports it.
+	payloadErr error
+	// epoch counts Resets, so a graph launch state abandoned by a Reset
+	// knows it is free again.
+	epoch uint64
 
 	// opFree recycles op objects the moment their hardware work completes;
 	// evFree recycles completion events at Sync, with evLive tracking the
@@ -305,7 +320,8 @@ func New(dev *device.Device) *Runtime { return &Runtime{dev: dev} }
 // the same testbed — the memoized kernel durations. Streams of the previous
 // run are dropped. Operations still pending (after a failed Sync) are
 // abandoned exactly as discarding the runtime would abandon them, with
-// their live events recycled. After Reset the runtime behaves identically
+// their live events recycled; graph launch states they ran in become
+// Idle. After Reset the runtime behaves identically
 // to New(dev); only allocation behaviour differs.
 func (rt *Runtime) Reset(dev *device.Device) {
 	if rt.dev == nil || dev == nil || rt.dev.Testbed() != dev.Testbed() {
@@ -313,6 +329,8 @@ func (rt *Runtime) Reset(dev *device.Device) {
 		rt.ktLastKey, rt.ktLastDur = 0, 0
 	}
 	rt.dev = dev
+	rt.epoch++
+	rt.payloadErr = nil
 	rt.outstanding = 0
 	rt.streams = 0
 	rt.payloadPool = nil
@@ -359,6 +377,22 @@ func (rt *Runtime) Now() sim.Time { return rt.dev.Engine().Now() }
 // allocOp returns a recycled (or fresh) op of the given kind with a live
 // completion event attached.
 func (rt *Runtime) allocOp(kind opKind) *op {
+	o := rt.newOp(kind)
+	o.complete = rt.allocEvent()
+	return o
+}
+
+// allocBridge returns an op that runs release once every event it is
+// registered on (the caller counts them in deps) has fired. It has no
+// completion event and is not an outstanding operation.
+func (rt *Runtime) allocBridge(release func()) *op {
+	o := rt.newOp(opBridge)
+	o.payload = release
+	return o
+}
+
+// newOp pops a recycled op, or carves a fresh one from the slab.
+func (rt *Runtime) newOp(kind opKind) *op {
 	var o *op
 	if n := len(rt.opFree); n > 0 {
 		o = rt.opFree[n-1]
@@ -375,7 +409,7 @@ func (rt *Runtime) allocOp(kind opKind) *op {
 		o.hwDone = o.hwComplete
 	}
 	o.kind = kind
-	o.complete = rt.allocEvent()
+	o.deps = 0
 	return o
 }
 
@@ -468,6 +502,11 @@ func (rt *Runtime) launch(o *op) {
 		o.finish()
 	case opKernel:
 		rt.dev.LaunchKernel(o.name, o.duration, o.payload, o.hwDone)
+	case opBridge:
+		release := o.payload
+		rt.recycleOp(o)
+		//lint:ignore hotpath a bridge's payload is always a GraphExec.extFn, a closure created once per launch state that calls the hot root (*GraphExec).release
+		release()
 	default:
 		rt.dev.Link().Submit(o.dir, o.bytes, o.hwDone)
 	}
@@ -594,16 +633,15 @@ func (s *Stream) enqueue(o *op) *Event {
 	return o.complete
 }
 
-// TransferOp enqueues a pre-validated transfer: bytes move in direction
+// transferOp enqueues a pre-validated transfer: bytes move in direction
 // dir through device buffer buf. A non-nil w whose host side and buffer
 // both carry data makes the transfer functional — the window's elements
 // are copied when the link finishes; otherwise the transfer is
-// timing-only. The checked Memcpy/SetMatrix/GetMatrix entry points and
-// the plan replay both enqueue through here, so a replayed transfer
-// produces the identical op, dependency and event structure.
+// timing-only. The checked Memcpy/SetMatrix/GetMatrix entry points all
+// enqueue through here.
 //
 //cocolint:hotpath
-func (s *Stream) TransferOp(dir machine.LinkDir, bytes int64, buf *DevBuffer, w *Window) *Event {
+func (s *Stream) transferOp(dir machine.LinkDir, bytes int64, buf *DevBuffer, w *Window) *Event {
 	o := s.rt.allocOp(opTransfer)
 	o.dir, o.bytes = dir, bytes
 	if w != nil && needsWindow(buf, w.F64, w.F32) {
@@ -613,13 +651,13 @@ func (s *Stream) TransferOp(dir machine.LinkDir, bytes int64, buf *DevBuffer, w 
 	return s.enqueue(o)
 }
 
-// KernelOp enqueues a kernel with a precomputed duration. A non-nil
+// kernelOp enqueues a kernel with a precomputed duration. A non-nil
 // payload whose output buffer is backed runs its blas body when the kernel
-// completes; otherwise the kernel is timing-only. GemmAsync, GemvAsync,
-// AxpyAsync and the plan replay all launch through here.
+// completes; otherwise the kernel is timing-only. GemmAsync, GemvAsync and
+// AxpyAsync launch through here.
 //
 //cocolint:hotpath
-func (s *Stream) KernelOp(name string, duration float64, p *Payload) *Event {
+func (s *Stream) kernelOp(name string, duration float64, p *Payload) *Event {
 	o := s.rt.allocOp(opKernel)
 	o.name, o.duration = name, duration
 	if p != nil && p.out().Buf.Backed() {
@@ -643,9 +681,13 @@ func (s *Stream) Callback(fn func()) *Event {
 // dependencies that can never fire (a scheduling bug: a dependency cycle or
 // an event that is never recorded).
 //
-// On success the completed batch's events are recycled and every stream's
-// tail resets to the pre-completed event, so event handles returned before
-// this call must not be used afterwards.
+// Once the simulation has drained, the completed batch's events are
+// recycled and every stream's tail resets to the pre-completed event, so
+// event handles returned before this call must not be used afterwards. If
+// a kernel payload failed during the batch (for example a factorization
+// meeting a singular tile), the batch still ran to completion and Sync
+// returns the first payload error, wrapping the blas error; the runtime
+// stays usable.
 //
 //cocolint:hotpath
 func (rt *Runtime) Sync() (sim.Time, error) {
@@ -665,6 +707,10 @@ func (rt *Runtime) Sync() (sim.Time, error) {
 	for _, s := range rt.streamList {
 		s.tail = doneEvent
 		s.waits = s.waits[:0]
+	}
+	if err := rt.payloadErr; err != nil {
+		rt.payloadErr = nil
+		return end, err
 	}
 	return end, nil
 }
@@ -773,7 +819,7 @@ func (s *Stream) MemcpyH2DAsync(dst *DevBuffer, dstOff int64, hostF64 []float64,
 		return nil, err
 	}
 	w := Window{F64: hostF64, F32: hostF32, Rows: int(elems), Cols: 1, DevOff: dstOff}
-	return s.TransferOp(machine.H2D, elems*dst.dt.Size(), dst, &w), nil
+	return s.transferOp(machine.H2D, elems*dst.dt.Size(), dst, &w), nil
 }
 
 // MemcpyD2HAsync enqueues a 1-D device-to-host copy.
@@ -785,7 +831,7 @@ func (s *Stream) MemcpyD2HAsync(hostF64 []float64, hostF32 []float32, src *DevBu
 		return nil, err
 	}
 	w := Window{F64: hostF64, F32: hostF32, Rows: int(elems), Cols: 1, DevOff: srcOff}
-	return s.TransferOp(machine.D2H, elems*src.dt.Size(), src, &w), nil
+	return s.transferOp(machine.D2H, elems*src.dt.Size(), src, &w), nil
 }
 
 // check2D validates one side of a 2-D (sub)matrix copy, in the manner of
@@ -817,7 +863,7 @@ func (s *Stream) matrix2D(dir machine.LinkDir, buf *DevBuffer, w *Window, what s
 	if err := memcpyBounds(buf, w.DevOff, need, what); err != nil {
 		return nil, err
 	}
-	return s.TransferOp(dir, int64(w.Rows)*int64(w.Cols)*buf.dt.Size(), buf, w), nil
+	return s.transferOp(dir, int64(w.Rows)*int64(w.Cols)*buf.dt.Size(), buf, w), nil
 }
 
 // SetMatrixAsync enqueues a 2-D h2d copy of a rows x cols column-major
@@ -866,7 +912,7 @@ func (s *Stream) GemmAsync(transA, transB byte, m, n, k int,
 	p := Payload{Kind: PayloadGemm, TransA: transA, TransB: transB, M: m, N: n, K: k,
 		Alpha: alpha, Beta: beta,
 		A: Operand{a, offA, lda}, B: Operand{b, offB, ldb}, C: Operand{c, offC, ldc}}
-	return s.KernelOp(name, s.rt.gemmTime(dt, m, n, k), &p), nil
+	return s.kernelOp(name, s.rt.gemmTime(dt, m, n, k), &p), nil
 }
 
 // AxpyAsync enqueues y += alpha*x over device vectors.
@@ -886,7 +932,7 @@ func (s *Stream) AxpyAsync(n int, alpha float64, x *DevBuffer, offX int64, y *De
 		name = "saxpy"
 	}
 	p := Payload{Kind: PayloadAxpy, N: n, Alpha: alpha, A: Operand{x, offX, 0}, C: Operand{y, offY, 0}}
-	return s.KernelOp(name, s.rt.axpyTime(dt, n), &p), nil
+	return s.kernelOp(name, s.rt.axpyTime(dt, n), &p), nil
 }
 
 // GemvAsync enqueues y = alpha*op(A)*x + beta*y over device operands.
@@ -898,5 +944,5 @@ func (s *Stream) GemvAsync(trans byte, m, n int, alpha float64,
 	}
 	p := Payload{Kind: PayloadGemv, TransA: trans, M: m, N: n, Alpha: alpha, Beta: beta,
 		A: Operand{a, offA, lda}, B: Operand{x, offX, 0}, C: Operand{y, offY, 0}}
-	return s.KernelOp("gemv", s.rt.gemvTime(y.dt, m, n), &p), nil
+	return s.kernelOp("gemv", s.rt.gemvTime(y.dt, m, n), &p), nil
 }

@@ -2,9 +2,9 @@ package cudart
 
 // Kernel payloads: the functional arithmetic a kernel launch performs on
 // backed buffers when it completes. Every launch path — GemmAsync,
-// GemvAsync, AxpyAsync and the plan replay's KernelOp calls — describes
-// its arithmetic as a Payload, and this file holds the one blas call per
-// kernel kind.
+// GemvAsync, AxpyAsync and the kernel nodes of a backed graph launch —
+// describes its arithmetic as a Payload, and this file holds the one blas
+// call per kernel kind and the one runner that executes it.
 
 import (
 	"fmt"
@@ -45,9 +45,10 @@ type Operand struct {
 
 // Payload describes the arithmetic of one kernel launch. Kind decides
 // which fields are read; unread operands may be left zero. The payload
-// runs only when its output operand (see out) is backed. The caller owns
-// operand validity: a blas shape error in a running payload panics, like
-// an impossible launch on real hardware faults.
+// runs only when its output operand (see out) is backed. A blas error in a
+// running payload (a singular or indefinite tile, or a shape the caller
+// failed to validate) does not stop the simulation: the runtime records
+// the first one and Sync returns it.
 type Payload struct {
 	Kind                             PayloadKind
 	TransA, TransB, Side, Uplo, Diag byte
@@ -116,9 +117,19 @@ type kernelCall struct {
 	run func() // method value of exec, created once per object
 }
 
-// exec runs the payload under the runtime's worker pool and kernel policy.
-func (c *kernelCall) exec() {
-	if err := c.Payload.run(c.rt.payloadPool, c.rt.payloadPolicy); err != nil {
-		panic(fmt.Sprintf("cudart: %s payload: %v", c.Kind, err))
+// exec runs the call's payload.
+func (c *kernelCall) exec() { c.rt.runPayload(&c.Payload) }
+
+// runPayload runs p under the runtime's worker pool and kernel policy,
+// recording the first error for Sync. It is the one payload runner: the
+// dynamic kernel ops and backed graph launches both call it at kernel
+// completion.
+//
+//cocolint:hotpath
+func (rt *Runtime) runPayload(p *Payload) {
+	//lint:ignore hotpath payloads run only on backed launches, where the blas body dominates
+	if err := p.run(rt.payloadPool, rt.payloadPolicy); err != nil && rt.payloadErr == nil {
+		//lint:ignore hotpath error path: at most one error is kept per batch
+		rt.payloadErr = fmt.Errorf("cudart: %s payload: %w", p.Kind, err)
 	}
 }

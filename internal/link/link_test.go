@@ -199,3 +199,25 @@ func TestBusyConservationUncontended(t *testing.T) {
 	st := l.Stats(machine.H2D)
 	almost(t, st.BusySeconds, n*0.3, 1e-9, "uncontended busy time")
 }
+
+// BenchmarkSubmitFinish measures one transfer from Submit to its
+// completion callback on a warm link, alternating directions so every
+// other transfer overlaps one in the opposite direction and replans it.
+func BenchmarkSubmitFinish(b *testing.B) {
+	eng := sim.New()
+	l := New(eng, testbed(1e-5), 0.05, rand.New(rand.NewSource(1)))
+	done := func() {}
+	warm := func(n int) {
+		for i := 0; i < n; i++ {
+			l.Submit(machine.LinkDir(i&1), 1<<20, done)
+			if i&1 == 1 {
+				eng.Run()
+			}
+		}
+		eng.Run()
+	}
+	warm(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	warm(b.N)
+}

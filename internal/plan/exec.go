@@ -5,7 +5,6 @@ import (
 
 	"cocopelia/internal/cudart"
 	"cocopelia/internal/kernelmodel"
-	"cocopelia/internal/machine"
 	"cocopelia/internal/operand"
 )
 
@@ -30,34 +29,52 @@ type Arg struct {
 	Vec *operand.Vector
 }
 
-// Executor replays plan tapes onto a target. It owns reusable scratch (the
-// completion-event table, the slot bindings and the acquired-buffer list),
-// so replay allocates nothing once warm; like the scheduler context whose
-// scratch it replaces, one executor supports one in-flight replay at a
-// time.
+// Executor replays plan tapes onto a target. Each replay runs in a launch
+// state that owns the graph launch's counters and bindings, the slot
+// bindings and the acquired-buffer list, so replay allocates nothing once
+// warm. A launch state is reused once its graph has completed; a replay
+// issued while an earlier one is still in flight (two plans enqueued
+// before one Sync) takes a second state.
 type Executor struct {
-	events []*cudart.Event
+	launches []*launch
+}
+
+// launch is the scratch of one replay.
+type launch struct {
+	x      cudart.GraphExec
 	slots  []*cudart.DevBuffer
 	pooled []*cudart.DevBuffer
 }
 
-// Replay replays a compiled tape onto tgt. It issues the plan's stream
-// calls in op order — each op's dependency waits first, in their recorded
-// order, then the transfer or kernel — which is exactly the call sequence
-// the direct scheduler produced, so the simulation's event order is
-// preserved. Every decision that does not depend on the operands (stream,
-// byte volume, kernel name and duration, event slots) was taken when the
-// tape was compiled.
+// idle returns a launch state with no replay in flight.
+func (e *Executor) idle() *launch {
+	for _, l := range e.launches {
+		if l.x.Idle() {
+			return l
+		}
+	}
+	l := &launch{}
+	e.launches = append(e.launches, l)
+	return l
+}
+
+// Replay launches a compiled tape onto tgt: it acquires the plan's staging
+// slots in plan order, then launches the tape's dependency graph after the
+// work already on the target's streams. The launch issues the transfers
+// and kernels direct scheduling would have issued, in the same order, so
+// the simulation's event order is preserved. Every decision that does not
+// depend on the operands (stream, byte volume, kernel name and duration,
+// dependency counts) was taken when the tape was compiled.
 //
 // args binds the plan operands in argument order. With bindings, each
 // transfer carries its host window and each kernel its payload, so backed
 // buffers receive real data and arithmetic. Timing-only callers pass nil
-// and replay bare transfers and kernels. The caller validates the bound
+// and launch bare transfers and kernels. The caller validates the bound
 // operands against the plan (sched does so before every replay).
 //
 // Replay returns the staging buffers acquired from the allocator; the
-// caller releases them after the engine drains. On error every acquired
-// buffer has already been released.
+// caller releases them after the engine drains. On error nothing has been
+// enqueued and every acquired buffer has already been released.
 //
 //cocolint:hotpath
 func (e *Executor) Replay(t *Tape, tgt Target, args []Arg) ([]*cudart.DevBuffer, error) {
@@ -66,84 +83,62 @@ func (e *Executor) Replay(t *Tape, tgt Target, args []Arg) ([]*cudart.DevBuffer,
 		//lint:ignore hotpath error path: a malformed binding is rejected before anything is enqueued
 		return nil, fmt.Errorf("plan: %s plan wants %d operands, got %d", p.Routine, p.NumArgs(), len(args))
 	}
-	// Event slots need no clearing between replays: a dependency edge always
-	// references an op emitted earlier in the tape, so every slot is written
-	// before it is read (stale pointers from a previous replay are never
-	// observed). The replay property tests pin this.
-	if cap(e.events) < p.EvSlots {
-		//lint:ignore hotpath grow-once scratch: reallocated only when a replay needs more event slots than any before it
-		e.events = make([]*cudart.Event, p.EvSlots)
-	}
-	e.events = e.events[:p.EvSlots]
-	if cap(e.slots) < len(p.Slots) {
+	//lint:ignore hotpath grows the launch-state list only when a replay starts while every earlier one is still in flight
+	l := e.idle()
+	if cap(l.slots) < len(p.Slots) {
 		//lint:ignore hotpath grow-once scratch: reallocated only when a replay needs more staging slots than any before it
-		e.slots = make([]*cudart.DevBuffer, len(p.Slots))
+		l.slots = make([]*cudart.DevBuffer, len(p.Slots))
 	}
-	e.slots = e.slots[:len(p.Slots)]
-	e.pooled = e.pooled[:0]
+	l.slots = l.slots[:len(p.Slots)]
+	l.pooled = l.pooled[:0]
+	for _, slot := range t.allocs {
+		s := p.Slots[slot]
+		//lint:ignore hotpath Alloc is an interface by design; the sched.Pool implementation's Acquire is proved free at its own hot root
+		buf, err := tgt.Alloc.Acquire(s.Dtype, s.Elems)
+		if err != nil {
+			for _, b := range l.pooled {
+				//lint:ignore hotpath acquire-failure unwind runs at most once per failed replay
+				tgt.Alloc.Release(b)
+			}
+			l.pooled = l.pooled[:0]
+			return nil, err
+		}
+		l.slots[slot] = buf
+		//lint:ignore hotpath pooled reuses its backing array across replays; it grows only to the widest plan's slot count
+		l.pooled = append(l.pooled, buf)
+	}
+	if args != nil {
+		//lint:ignore hotpath backed replays only: binding copies each op's window or payload into the launch state's per-node scratch
+		l.bind(t, args)
+	}
+	var s [cudart.GraphStreams]*cudart.Stream
+	s[sH2D], s[sD2H], s[sComp] = tgt.H2D, tgt.D2H, tgt.Comp
+	l.x.Launch(t.graph, s, args != nil)
+	return l.pooled, nil
+}
 
-	// Hoist the hot-loop state into locals: the loop body runs hundreds of
-	// thousands of times per replay and the compiler cannot otherwise prove
-	// these loads loop-invariant across the stream calls.
-	events, deps, comp := e.events, t.deps, tgt.Comp
-	link := [2]*cudart.Stream{machine.H2D: tgt.H2D, machine.D2H: tgt.D2H}
-	for i := range t.ops {
-		o := &t.ops[i]
-		switch o.code {
-		case tAlloc:
-			s := p.Slots[o.slot]
-			//lint:ignore hotpath Alloc is an interface by design; the sched.Pool implementation's Acquire is proved free at its own hot root
-			buf, err := tgt.Alloc.Acquire(s.Dtype, s.Elems)
-			if err != nil {
-				for _, b := range e.pooled {
-					//lint:ignore hotpath acquire-failure unwind runs at most once per failed replay
-					tgt.Alloc.Release(b)
-				}
-				e.pooled = e.pooled[:0]
-				return nil, err
-			}
-			e.slots[o.slot] = buf
-			//lint:ignore hotpath pooled reuses its backing array across replays; it grows only to the widest plan's slot count
-			e.pooled = append(e.pooled, buf)
-		case tTransfer:
-			s := link[o.dir]
-			for _, d := range deps[o.depOff : o.depOff+o.depN] {
-				s.WaitEvent(events[d])
-			}
-			var w *cudart.Window
-			if args != nil {
-				win := window(&p.Ops[i], args)
-				w = &win
-			}
-			ev := s.TransferOp(o.dir, o.bytes, e.slots[o.slot], w)
-			if o.ev >= 0 {
-				events[o.ev] = ev
-			}
-		case tKernel:
-			for _, d := range deps[o.depOff : o.depOff+o.depN] {
-				comp.WaitEvent(events[d])
-			}
-			var pl *cudart.Payload
-			if args != nil && o.name != nDispatch {
-				bound := p.payload(&p.Ops[i], args, e.slots)
-				pl = &bound
-			}
-			ev := comp.KernelOp(tapeNames[o.name], o.dur, pl)
-			if o.ev >= 0 {
-				events[o.ev] = ev
+// bind resolves every transfer's host window and every kernel's payload
+// against the operands and the acquired slots, node by node.
+func (l *launch) bind(t *Tape, args []Arg) {
+	p := t.p
+	l.x.Bind(t.graph)
+	node := int32(0)
+	for i := range p.Ops {
+		o := &p.Ops[i]
+		switch o.Kind {
+		case OpAlloc:
+			continue
+		case OpFetch, OpWriteback:
+			w := window(o, args)
+			l.x.BindWindow(node, l.slots[o.Slot], &w)
+		case OpKernel:
+			if o.Kernel != KDispatch {
+				pl := p.payload(o, args, l.slots)
+				l.x.BindPayload(node, &pl)
 			}
 		}
+		node++
 	}
-
-	// Leave the streams in the exact state direct scheduling left them:
-	// waits the schedule registered but never consumed stay pending.
-	for _, s := range t.tailH2D {
-		tgt.H2D.WaitEvent(e.events[s])
-	}
-	for _, s := range t.tailCmp {
-		tgt.Comp.WaitEvent(e.events[s])
-	}
-	return e.pooled, nil
 }
 
 // window binds a transfer op's host side: the op's M x N element window of

@@ -34,15 +34,15 @@ const NoOp OpID = -1
 // Tile forwarding is expressed, not special-cased: a kernel that consumes
 // another kernel's output tile references the same staging slot (or device
 // window) and lists the producer kernel as a dependency — no writeback and
-// refetch round-trip appears between them, and the executor turns the edge
-// into a stream wait on the producer's completion event.
+// refetch round-trip appears between them, and the compiled tape turns the
+// edge into a dependency-graph edge from the producer.
 type Graph struct {
 	b builder
 }
 
 // NewGraph starts building ops into p. The caller fills the plan header
 // (routine, geometry, scalars, locations) before or after building; Finish
-// seals the dependency-event table.
+// returns the plan.
 func NewGraph(p *Plan) *Graph { return &Graph{b: builder{p: p}} }
 
 // Plan returns the plan under construction (header fields may be adjusted
@@ -249,5 +249,5 @@ func (g *Graph) TailComp(id OpID) {
 	}
 }
 
-// Finish assigns the completion-event table and returns the sealed plan.
-func (g *Graph) Finish() *Plan { return finish(g.b.p) }
+// Finish returns the sealed plan.
+func (g *Graph) Finish() *Plan { return g.b.p }

@@ -10,12 +10,12 @@
 // replayed against any operand set of the same shape, on any
 // sched.Context/cudart.Runtime, and memoized across repetitions.
 //
-// Replay preserves the simulation's event total order: the executor walks
-// the op list in emission order, registers each op's dependency waits in
-// their recorded order, and enqueues exactly the stream call the imperative
-// scheduler would have issued — so the (at, seq) order of every discrete
-// event, and therefore every timing and payload result, is byte-identical
-// to direct scheduling.
+// Replay preserves the simulation's event total order: the compiled tape's
+// dependency graph launches exactly the transfers and kernels the
+// imperative scheduler would have enqueued, with each op's dependencies
+// counted and released in the order the stream calls registered them — so
+// the (at, seq) order of every discrete event, and therefore every timing
+// and payload result, is byte-identical to direct scheduling.
 package plan
 
 import (
@@ -141,11 +141,6 @@ type Op struct {
 	M, N, K          int32
 	A, B, C          Ref
 	depOff, depN     int32
-	// Ev is the op's slot in the executor's completion-event table, or -1
-	// when no later op waits on this op (most kernels and write-backs).
-	// Keeping the table dense over referenced ops only — rather than one
-	// entry per op — keeps the per-replay pointer scratch small.
-	Ev int32
 }
 
 // opBeta resolves a kernel op's beta selector against the plan scalar.
@@ -228,7 +223,7 @@ type Plan struct {
 
 	// TailH2D and TailComp are op ids whose completion events the original
 	// schedule left as pending (unconsumed) stream waits at return; the
-	// executor re-registers them so the stream state after replay is
+	// replay leaves them pending too, so the stream state after replay is
 	// identical to direct scheduling.
 	TailH2D, TailComp []int32
 
@@ -237,12 +232,8 @@ type Plan struct {
 	Subkernels         int64
 	BytesH2D, BytesD2H int64
 
-	// EvSlots is the size of the executor's completion-event table: the
-	// number of ops some later op (or tail wait) depends on.
-	EvSlots int
-
-	// tape caches the plan's precompiled timing-only replay tape (see
-	// tape.go). Plans with a compiled tape must not be copied by value.
+	// tape caches the plan's compiled replay tape (see tape.go). Plans
+	// with a compiled tape must not be copied by value.
 	tape tapeSlot
 }
 
@@ -345,34 +336,6 @@ func (b *builder) alloc(slot int32) int32 {
 	o, id := b.emit()
 	o.Kind, o.Slot = OpAlloc, slot
 	return id
-}
-
-// finish assigns the completion-event slots: every op referenced by a
-// dependency edge or a tail wait gets a dense table index in
-// first-reference order, all others get -1. Called once by each planner
-// after emission.
-func finish(p *Plan) *Plan {
-	for i := range p.Ops {
-		p.Ops[i].Ev = -1
-	}
-	n := int32(0)
-	mark := func(id int32) {
-		if p.Ops[id].Ev < 0 {
-			p.Ops[id].Ev = n
-			n++
-		}
-	}
-	for _, d := range p.deps {
-		mark(d)
-	}
-	for _, id := range p.TailH2D {
-		mark(id)
-	}
-	for _, id := range p.TailComp {
-		mark(id)
-	}
-	p.EvSlots = int(n)
-	return p
 }
 
 // argNames returns the operand letters of a routine for dumps.

@@ -1,38 +1,39 @@
 package plan
 
 import (
+	"fmt"
 	"sync/atomic"
 
+	"cocopelia/internal/cudart"
 	"cocopelia/internal/kernelmodel"
 	"cocopelia/internal/machine"
 )
 
-// Tape is a plan lowered for replay on one GPU model: a flat instruction
-// array with every operand-independent decision already taken — stream,
-// byte volume, kernel name and duration, dependency event slots — stored
-// in contiguous slices, so replay is a tight loop over plain data with one
-// switch on the precomputed code. It is the only lowering of a plan:
-// Executor.Replay runs it timing-only, or with operand bindings that
-// attach host windows and kernel payloads from the plan's op list.
+// Tape is a plan lowered for replay on one GPU model: the staging slots in
+// acquisition order, plus a static dependency graph with every
+// operand-independent decision already taken — stream, byte volume, kernel
+// name and duration, dependency counts and successor lists. It is the only
+// lowering of a plan: Executor.Replay launches its graph timing-only, or
+// with operand bindings that attach host windows and kernel payloads from
+// the plan's op list.
 type Tape struct {
-	gpu     *machine.GPUSpec // kernel durations are GPU-model-specific
-	p       *Plan            // source of the operand references bindings resolve
-	ops     []tapeOp
-	deps    []int32 // dependency edges as completion-event slots
-	tailH2D []int32 // tail waits as completion-event slots
-	tailCmp []int32
+	gpu    *machine.GPUSpec // kernel durations are GPU-model-specific
+	p      *Plan            // source of the operand references bindings resolve
+	allocs []int32          // staging slots, in the plan's acquisition order
+	graph  *cudart.Graph    // one node per transfer and kernel, in op order
 }
 
-// tapeOp codes: which stream the op runs on and what it enqueues.
+// The graph stream slots the replay target's streams fill: transfers run on
+// the stream of their direction, kernels on the compute stream.
 const (
-	tAlloc uint8 = iota
-	tTransfer
-	tKernel
+	sH2D  = int(machine.H2D)
+	sD2H  = int(machine.D2H)
+	sComp = 2
 )
 
-// tapeNames is the kernel-name table tapeOp.name indexes into; keeping the
-// string out of the op makes the instruction array pointer-free, so tapes
-// are never scanned by the garbage collector and their arenas zero faster.
+// tapeNames is the kernel-name table graph kernel nodes index into;
+// keeping the string out of the node makes the node array pointer-free, so
+// tapes are never scanned by the garbage collector.
 var tapeNames = [...]string{"dispatch", "dgemm", "sgemm", "gemv", "daxpy",
 	"dpotrf", "spotrf", "dgetrf", "sgetrf", "dtrsm", "strsm", "dsyrk", "ssyrk"}
 
@@ -58,18 +59,6 @@ func dtypeName(dt kernelmodel.Dtype, d, s uint8) uint8 {
 		return s
 	}
 	return d
-}
-
-// tapeOp is one precompiled instruction.
-type tapeOp struct {
-	bytes        int64   // transfer volume
-	dur          float64 // kernel duration
-	slot         int32   // staging-slot index of alloc/transfer ops
-	ev           int32   // completion-event slot, -1 when nothing waits
-	depOff, depN int32   // window into Tape.deps
-	code         uint8
-	name         uint8           // kernel-name index into tapeNames
-	dir          machine.LinkDir // transfer direction, which picks the stream
 }
 
 // TapeFor returns the plan's replay tape for the given GPU model,
@@ -107,82 +96,95 @@ func (m *tapeMemo) get(key int64, eval func() float64) float64 {
 	return d
 }
 
-// compileTape lowers a plan to its flat enqueue tape, evaluating each
-// kernel's duration once per distinct shape.
+// compileTape lowers a plan to its tape, evaluating each kernel's duration
+// once per distinct shape. Graph nodes are the plan's transfer and kernel
+// ops in op order; each node's dependencies are its op's recorded
+// dependencies, in order, and its stream predecessor is the previous op on
+// the same stream — exactly the waits the stream calls of direct
+// scheduling register.
 func compileTape(p *Plan, gpu *machine.GPUSpec) *Tape {
-	t := &Tape{
-		gpu:     gpu,
-		p:       p,
-		ops:     make([]tapeOp, len(p.Ops)),
-		deps:    make([]int32, len(p.deps)),
-		tailH2D: evSlotsOf(p, p.TailH2D),
-		tailCmp: evSlotsOf(p, p.TailComp),
+	allocs := 0
+	for i := range p.Ops {
+		if p.Ops[i].Kind == OpAlloc {
+			allocs++
+		}
 	}
-	for i, d := range p.deps {
-		t.deps[i] = p.Ops[d].Ev
-	}
+	t := &Tape{gpu: gpu, p: p, allocs: make([]int32, 0, allocs),
+		graph: cudart.NewGraph(tapeNames[:], len(p.Ops)-allocs, len(p.deps))}
+	node := make([]int32, len(p.Ops)) // op id -> graph node, -1 for allocs
+	var deps []int32
 	// One memo per kernel kind: factorization plans mix GEMM, TRSM, SYRK and
 	// the diagonal kernels in a single op list, and their shape keys (two or
 	// three packed dims) would collide across kinds in a shared table.
 	var memos [KSyrk + 1]tapeMemo
 	for i := range p.Ops {
 		o := &p.Ops[i]
-		to := &t.ops[i]
-		to.ev, to.depOff, to.depN, to.slot = o.Ev, o.depOff, o.depN, o.Slot
-		switch o.Kind {
-		case OpAlloc:
-			to.code = tAlloc
-		case OpFetch:
-			to.code, to.dir = tTransfer, machine.H2D
-			to.bytes = tapeBytes(p, o)
-		case OpWriteback:
-			to.code, to.dir = tTransfer, machine.D2H
-			to.bytes = tapeBytes(p, o)
-		case OpKernel:
-			to.code = tKernel
-			switch o.Kernel {
-			case KDispatch:
-				to.name, to.dur = nDispatch, p.DispatchS
-			case KGemm:
-				to.name = dtypeName(p.Dtype, nDgemm, nSgemm)
-				to.dur = memos[KGemm].get(int64(o.M)<<42|int64(o.N)<<21|int64(o.K), func() float64 {
-					return kernelmodel.GemmTime(gpu, p.Dtype, int(o.M), int(o.N), int(o.K))
-				})
-			case KGemv:
-				to.name = nGemv
-				to.dur = memos[KGemv].get(int64(o.M)<<21|int64(o.N), func() float64 {
-					return kernelmodel.GemvTime(gpu, kernelmodel.F64, int(o.M), int(o.N))
-				})
-			case KAxpy:
-				to.name = nDaxpy
-				to.dur = memos[KAxpy].get(int64(o.N), func() float64 {
-					return kernelmodel.AxpyTime(gpu, kernelmodel.F64, int(o.N))
-				})
-			case KPotrf:
-				to.name = dtypeName(p.Dtype, nDpotrf, nSpotrf)
-				to.dur = memos[KPotrf].get(int64(o.N), func() float64 {
-					return kernelmodel.PotrfTime(gpu, p.Dtype, int(o.N))
-				})
-			case KGetrf:
-				to.name = dtypeName(p.Dtype, nDgetrf, nSgetrf)
-				to.dur = memos[KGetrf].get(int64(o.N), func() float64 {
-					return kernelmodel.GetrfTime(gpu, p.Dtype, int(o.N))
-				})
-			case KTrsm:
-				to.name = dtypeName(p.Dtype, nDtrsm, nStrsm)
-				// Side changes the flop/byte shape, so it is part of the key.
-				to.dur = memos[KTrsm].get(int64(o.Side)<<42|int64(o.M)<<21|int64(o.N), func() float64 {
-					return kernelmodel.TrsmTime(gpu, p.Dtype, o.Side, int(o.M), int(o.N))
-				})
-			case KSyrk:
-				to.name = dtypeName(p.Dtype, nDsyrk, nSsyrk)
-				to.dur = memos[KSyrk].get(int64(o.N)<<21|int64(o.K), func() float64 {
-					return kernelmodel.SyrkTime(gpu, p.Dtype, int(o.N), int(o.K))
-				})
+		if o.Kind == OpAlloc {
+			node[i] = -1
+			t.allocs = append(t.allocs, o.Slot)
+			continue
+		}
+		deps = deps[:0]
+		for _, d := range p.Deps(i) {
+			if node[d] < 0 {
+				panic(fmt.Sprintf("plan: %s op %d depends on allocation op %d", p.Routine, i, d))
 			}
+			deps = append(deps, node[d])
+		}
+		switch o.Kind {
+		case OpFetch:
+			node[i] = t.graph.AddTransfer(sH2D, machine.H2D, tapeBytes(p, o), deps)
+		case OpWriteback:
+			node[i] = t.graph.AddTransfer(sD2H, machine.D2H, tapeBytes(p, o), deps)
+		case OpKernel:
+			name, dur := kernelOf(p, o, gpu, &memos)
+			node[i] = t.graph.AddKernel(sComp, name, dur, deps)
 		}
 	}
+	for _, id := range p.TailH2D {
+		t.graph.TailWait(sH2D, node[id])
+	}
+	for _, id := range p.TailComp {
+		t.graph.TailWait(sComp, node[id])
+	}
+	t.graph.Seal()
 	return t
+}
+
+// kernelOf returns a kernel op's name index and modeled duration on gpu.
+func kernelOf(p *Plan, o *Op, gpu *machine.GPUSpec, memos *[KSyrk + 1]tapeMemo) (uint8, float64) {
+	switch o.Kernel {
+	case KDispatch:
+		return nDispatch, p.DispatchS
+	case KGemm:
+		return dtypeName(p.Dtype, nDgemm, nSgemm), memos[KGemm].get(int64(o.M)<<42|int64(o.N)<<21|int64(o.K), func() float64 {
+			return kernelmodel.GemmTime(gpu, p.Dtype, int(o.M), int(o.N), int(o.K))
+		})
+	case KGemv:
+		return nGemv, memos[KGemv].get(int64(o.M)<<21|int64(o.N), func() float64 {
+			return kernelmodel.GemvTime(gpu, kernelmodel.F64, int(o.M), int(o.N))
+		})
+	case KAxpy:
+		return nDaxpy, memos[KAxpy].get(int64(o.N), func() float64 {
+			return kernelmodel.AxpyTime(gpu, kernelmodel.F64, int(o.N))
+		})
+	case KPotrf:
+		return dtypeName(p.Dtype, nDpotrf, nSpotrf), memos[KPotrf].get(int64(o.N), func() float64 {
+			return kernelmodel.PotrfTime(gpu, p.Dtype, int(o.N))
+		})
+	case KGetrf:
+		return dtypeName(p.Dtype, nDgetrf, nSgetrf), memos[KGetrf].get(int64(o.N), func() float64 {
+			return kernelmodel.GetrfTime(gpu, p.Dtype, int(o.N))
+		})
+	case KTrsm:
+		// Side changes the flop/byte shape, so it is part of the key.
+		return dtypeName(p.Dtype, nDtrsm, nStrsm), memos[KTrsm].get(int64(o.Side)<<42|int64(o.M)<<21|int64(o.N), func() float64 {
+			return kernelmodel.TrsmTime(gpu, p.Dtype, o.Side, int(o.M), int(o.N))
+		})
+	}
+	return dtypeName(p.Dtype, nDsyrk, nSsyrk), memos[KSyrk].get(int64(o.N)<<21|int64(o.K), func() float64 {
+		return kernelmodel.SyrkTime(gpu, p.Dtype, int(o.N), int(o.K))
+	})
 }
 
 // tapeBytes is the byte volume the checked transfer entry points would
@@ -195,25 +197,8 @@ func tapeBytes(p *Plan, o *Op) int64 {
 	return elems * p.Slots[o.Slot].Dtype.Size()
 }
 
-// evSlotsOf maps op ids to their completion-event slots.
-func evSlotsOf(p *Plan, ids []int32) []int32 {
-	out := make([]int32, len(ids))
-	for i, id := range ids {
-		out[i] = p.Ops[id].Ev
-	}
-	return out
-}
-
 // kernelSeconds sums the tape's kernel durations in op order.
-func (t *Tape) kernelSeconds() float64 {
-	sum := 0.0
-	for i := range t.ops {
-		if t.ops[i].code == tKernel {
-			sum += t.ops[i].dur
-		}
-	}
-	return sum
-}
+func (t *Tape) kernelSeconds() float64 { return t.graph.KernelSeconds() }
 
 // tapeSlot is the Plan field backing TapeFor's cache. The alias lives here
 // (not in plan.go) so the atomic dependency stays with the tape code.

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cocopelia/internal/blas"
@@ -124,7 +125,15 @@ func checkBoundMatchesBare(t *testing.T, build func(r replayOperands) (*plan.Pla
 	}
 }
 
-func TestTapeReplayMatchesRun(t *testing.T) {
+// replayCase is one plan scenario: build returns the plan and its operand
+// bindings for a context.
+type replayCase struct {
+	name  string
+	build func(r replayOperands) (*plan.Plan, []plan.Arg)
+}
+
+// replayCases covers every builder with host- and device-resident operands.
+func replayCases(t *testing.T) []replayCase {
 	H, D := model.OnHost, model.OnDevice
 	gemm := func(dt kernelmodel.Dtype, transA, transB byte, m, n, k, T int, alpha, beta float64,
 		locs [3]model.Loc, dispatch float64, noReuse bool) func(r replayOperands) (*plan.Plan, []plan.Arg) {
@@ -224,10 +233,7 @@ func TestTapeReplayMatchesRun(t *testing.T) {
 		}
 	}
 
-	cases := []struct {
-		name  string
-		build func(r replayOperands) (*plan.Plan, []plan.Arg)
-	}{
+	return []replayCase{
 		{"gemm-hhh", gemm(kernelmodel.F64, blas.NoTrans, blas.NoTrans, 96, 64, 80, 32, 1.5, 0.5, [3]model.Loc{H, H, H}, 0, false)},
 		{"gemm-dhd-beta0", gemm(kernelmodel.F64, blas.NoTrans, blas.NoTrans, 64, 96, 64, 32, 2, 0, [3]model.Loc{D, H, D}, 0, false)},
 		{"gemm-f32-trans-dispatch", gemm(kernelmodel.F32, blas.Trans, blas.NoTrans, 64, 64, 96, 32, 1, 1, [3]model.Loc{H, H, H}, 1e-5, false)},
@@ -243,8 +249,14 @@ func TestTapeReplayMatchesRun(t *testing.T) {
 		{"lu-device", lu(96, D)},
 		{"trsm", trsm(H, H)},
 		{"trsm-device", trsm(D, D)},
+		{"gemm-nt-ddh", gemm(kernelmodel.F64, blas.NoTrans, blas.Trans, 80, 64, 96, 32, 1, 0.5, [3]model.Loc{D, D, H}, 0, false)},
+		{"gemm-tt-hdd", gemm(kernelmodel.F64, blas.Trans, blas.Trans, 64, 80, 96, 32, 0.5, 1, [3]model.Loc{H, D, D}, 0, false)},
+		{"gemm-f64-tn-dispatch-dhh", gemm(kernelmodel.F64, blas.Trans, blas.NoTrans, 96, 64, 64, 32, 1, 1, [3]model.Loc{D, H, H}, 2e-6, false)},
 	}
-	for _, tc := range cases {
+}
+
+func TestTapeReplayMatchesRun(t *testing.T) {
+	for _, tc := range replayCases(t) {
 		t.Run(tc.name, func(t *testing.T) { checkBoundMatchesBare(t, tc.build) })
 	}
 }
@@ -295,6 +307,37 @@ func TestReplayTapeZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("tape replay allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// TestBackedReplayZeroAlloc gates a warm backed replay — every transfer
+// carrying its host window, every kernel its payload — at zero
+// allocations per replay: the per-node bindings live in the launch
+// state's scratch. (The factorizations are left out: replaying one in
+// place factors an already factored matrix.)
+func TestBackedReplayZeroAlloc(t *testing.T) {
+	for _, tc := range replayCases(t) {
+		if strings.HasPrefix(tc.name, "cholesky") || strings.HasPrefix(tc.name, "lu") || strings.HasPrefix(tc.name, "trsm") {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			c := oracleCtx(true)
+			p, args := tc.build(replayOperands{t: t, c: c, backed: true, rng: rand.New(rand.NewSource(3))})
+			replay := func() {
+				pooled := graphReplay(t, c, p, args)
+				if _, err := c.rt.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range pooled {
+					c.Release(b)
+				}
+			}
+			replay()
+			replay() // second warm-up: pool buckets at steady state
+			if allocs := testing.AllocsPerRun(5, replay); allocs != 0 {
+				t.Fatalf("backed replay allocates %.1f objects per run, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -66,8 +66,8 @@ type Context struct {
 	backed bool
 
 	// exec replays plan tapes onto the streams; it owns the per-call
-	// scratch (event table, slot bindings, acquired-buffer list), so the
-	// replay loop allocates nothing once the context is warm.
+	// scratch (graph launch state, slot bindings, acquired-buffer list), so
+	// the replay allocates nothing once the context is warm.
 	exec plan.Executor
 	// overheadS is an optional per-sub-kernel dispatch overhead occupying
 	// the compute pipeline; the CoCoPeLia library leaves it zero, while
@@ -339,8 +339,9 @@ func gemmArgs(opts GemmOpts) []plan.Arg {
 // it too; the semantics are routine-agnostic.
 // It exists so cooperating schedulers (the multi-GPU layer) can enqueue
 // several schedules that then execute concurrently on a shared clock.
-// A context supports one pending gemm at a time: the pending run borrows
-// the context's reusable replay scratch, which the next enqueue reclaims.
+// Several pending runs may share a context: each borrows its own replay
+// scratch from the executor until the engine has drained it, and each
+// must be Finished once after that drain.
 type PendingGemm struct {
 	ctx    *Context
 	res    Result
