@@ -53,11 +53,12 @@ verify: build vet fmt lint race bench-blas-smoke bench-micro-smoke \
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
 
-# MICRO_BENCH names the per-layer microbenchmarks of the timing path: the
+# MICRO_BENCH names the per-layer microbenchmarks of the timing path — the
 # DES step, link Submit to finish, the cudart dynamic op path and static
-# graph launch (each launch to Sync), and a full plan replay.
-MICRO_BENCH = BenchmarkEngineThroughput|BenchmarkSubmitFinish|BenchmarkDynamicLaunch|BenchmarkGraphLaunch|BenchmarkReplay$$
-MICRO_PKGS = ./internal/sim ./internal/link ./internal/cudart ./internal/sched
+# graph launch (each launch to Sync), and a full plan replay — and of the
+# factorization and solve payloads (GFLOP/s, allocs/op).
+MICRO_BENCH = BenchmarkEngineThroughput|BenchmarkSubmitFinish|BenchmarkDynamicLaunch|BenchmarkGraphLaunch|BenchmarkTrsm|BenchmarkGetrf|BenchmarkPotrf|BenchmarkReplay$$
+MICRO_PKGS = ./internal/sim ./internal/link ./internal/cudart ./internal/sched ./internal/blas
 
 # bench-micro measures the per-layer microbenchmarks (ns/op, allocs/op).
 bench-micro:

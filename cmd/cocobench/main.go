@@ -3,8 +3,9 @@
 // produces):
 //
 //   - the host BLAS payload engine (the blocked, packed GEMM of
-//     internal/blas) against the naive reference loop, as GFLOP/s per
-//     (routine, size) — this bounds functional-verification turnaround;
+//     internal/blas against the naive reference loop, and the dtrsm,
+//     dgetrf and dpotrf tile payloads), as GFLOP/s per (routine, size) —
+//     this bounds functional-verification turnaround;
 //   - with -campaign, the discrete-event campaign pipeline itself, as
 //     cells/sec and events/sec over a timing-only measurement sweep —
 //     this bounds how fast tables and figures regenerate;
@@ -174,35 +175,60 @@ func runBlas(out string, sizes []int, reps int, checkPath string) error {
 		c := make([]float64, n*n)
 		a32, b32 := toF32(a), toF32(b)
 		c32 := make([]float32, n*n)
+		// The in-place payloads restore their operand from a
+		// well-conditioned source before every call, outside the timing:
+		// spd is symmetric and diagonally dominant (for dpotrf and
+		// dgetrf), tri its lower triangle (for dtrsm).
+		spd, tri := dominantSPD(rng, n), make([]float64, n*n)
+		for j := 0; j < n; j++ {
+			copy(tri[j+j*n:(j+1)*n], spd[j+j*n:(j+1)*n])
+		}
+		restore := func(src []float64) func() { return func() { copy(c, src) } }
+		cube := float64(n) * float64(n) * float64(n)
 
 		runs := []struct {
 			routine string
 			dtype   string
 			kernel  string
 			workers int
+			flops   float64 // per call; 0 means the GEMM count 2n³
+			setup   func()  // untimed, before each call
 			call    func() error
 		}{
-			{"dgemm-naive", "f64", "naive", 1, func() error {
+			{"dgemm-naive", "f64", "naive", 1, 0, nil, func() error {
 				return blas.GemmNaive(blas.NoTrans, blas.NoTrans, n, n, n, 1, a, n, b, n, 0, c, n)
 			}},
-			{"dgemm", "f64", exact64, 1, func() error {
+			{"dgemm", "f64", exact64, 1, 0, nil, func() error {
 				return blas.Dgemm(blas.NoTrans, blas.NoTrans, n, n, n, 1, a, n, b, n, 0, c, n)
 			}},
-			{"dgemm-fma", "f64", fma64, 1, func() error {
+			{"dgemm-fma", "f64", fma64, 1, 0, nil, func() error {
 				return blas.GemmPolicy(blas.KernelFMA, blas.NoTrans, blas.NoTrans, n, n, n, 1, a, n, b, n, 0, c, n)
 			}},
-			{"dgemm-parallel", "f64", exact64, workers, func() error {
+			{"dgemm-parallel", "f64", exact64, workers, 0, nil, func() error {
 				return blas.GemmParallel(pool, blas.NoTrans, blas.NoTrans, n, n, n, 1, a, n, b, n, 0, c, n)
 			}},
-			{"sgemm", "f32", exact32, 1, func() error {
+			{"sgemm", "f32", exact32, 1, 0, nil, func() error {
 				return blas.Sgemm(blas.NoTrans, blas.NoTrans, n, n, n, 1, a32, n, b32, n, 0, c32, n)
 			}},
-			{"sgemm-fma", "f32", fma32, 1, func() error {
+			{"sgemm-fma", "f32", fma32, 1, 0, nil, func() error {
 				return blas.GemmPolicy(blas.KernelFMA, blas.NoTrans, blas.NoTrans, n, n, n, 1, a32, n, b32, n, 0, c32, n)
+			}},
+			{"dtrsm", "f64", exact64, 1, cube, restore(a), func() error {
+				return blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.NonUnit, n, n, 1, tri, n, c, n)
+			}},
+			{"dgetrf", "f64", exact64, 1, 2 * cube / 3, restore(spd), func() error {
+				return blas.Getrf(n, c, n)
+			}},
+			{"dpotrf", "f64", exact64, 1, cube / 3, restore(spd), func() error {
+				return blas.Potrf(blas.Lower, n, c, n)
 			}},
 		}
 		for _, r := range runs {
-			e, err := measure(r.routine, n, r.workers, reps, r.call)
+			flops := r.flops
+			if flops == 0 {
+				flops = 2 * cube
+			}
+			e, err := measure(r.routine, n, r.workers, reps, flops, r.setup, r.call)
 			if err != nil {
 				return fmt.Errorf("%s n=%d: %w", r.routine, n, err)
 			}
@@ -728,13 +754,20 @@ func writeJSON(path string, v any) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// measure times call (after one warm-up) and keeps the best of reps.
-func measure(routine string, n, workers, reps int, call func() error) (entry, error) {
+// measure times call (after one warm-up) and keeps the best of reps,
+// reporting flops per call as GFLOP/s. A non-nil setup runs before every
+// call, outside the timing.
+func measure(routine string, n, workers, reps int, flops float64, setup func(), call func() error) (entry, error) {
+	if setup == nil {
+		setup = func() {}
+	}
+	setup()
 	if err := call(); err != nil {
 		return entry{}, err
 	}
 	best := time.Duration(1<<63 - 1)
 	for i := 0; i < reps; i++ {
+		setup()
 		start := time.Now()
 		if err := call(); err != nil {
 			return entry{}, err
@@ -744,7 +777,6 @@ func measure(routine string, n, workers, reps int, call func() error) (entry, er
 		}
 	}
 	sec := best.Seconds()
-	flops := 2 * float64(n) * float64(n) * float64(n)
 	return entry{Routine: routine, Size: n, Workers: workers, Reps: reps,
 		Seconds: sec, Gflops: flops / sec / 1e9}, nil
 }
@@ -774,6 +806,20 @@ func randMat(rng *rand.Rand, n int) []float64 {
 		m[i] = rng.NormFloat64()
 	}
 	return m
+}
+
+// dominantSPD returns a symmetric n x n matrix with a dominant diagonal,
+// so the unpivoted LU and the Cholesky factorization both succeed.
+func dominantSPD(rng *rand.Rand, n int) []float64 {
+	a := make([]float64, n*n)
+	for j := 0; j < n; j++ {
+		for i := 0; i < j; i++ {
+			v := 2*rng.Float64() - 1
+			a[i+j*n], a[j+i*n] = v, v
+		}
+		a[j+j*n] = float64(n)
+	}
+	return a
 }
 
 func toF32(x []float64) []float32 {

@@ -93,13 +93,13 @@ var ErrHostWindow = cudart.ErrHostWindow
 var ErrDeviceWindow = operand.ErrDeviceWindow
 
 // ErrSingular is wrapped by the error a backed Dgetrf returns when a tile
-// kernel meets an exactly zero pivot. The call's schedule still runs to
-// completion, so the session stays usable.
+// kernel meets a pivot that is zero or not finite. The call's schedule
+// still runs to completion, so the session stays usable.
 var ErrSingular = blas.ErrSingular
 
 // ErrNotPositiveDefinite is wrapped by the error a backed Dpotrf returns
-// when a tile kernel meets a leading minor that is not positive. The
-// session stays usable.
+// when a tile kernel meets a leading minor whose pivot is not > 0 (NaN
+// included). The session stays usable.
 var ErrNotPositiveDefinite = blas.ErrNotPositiveDefinite
 
 // TestbedI returns the simulated equivalent of the paper's Testbed I

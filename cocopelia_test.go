@@ -370,7 +370,20 @@ func TestFactorPayloadErrorKeepsSession(t *testing.T) {
 			a[(n-1)+(n-1)*n] = 0
 			return getrf(lib, a)
 		}, ErrSingular},
+		{"getrf subnormal pivot", func(lib *Library) error {
+			// The first multiplier overflows to +Inf and the next pivot
+			// becomes -Inf: singular, not a factorization full of
+			// infinities.
+			a := identity()
+			a[0], a[1], a[n] = 1e-310, 1, 1
+			return getrf(lib, a)
+		}, ErrSingular},
 		{"potrf zeros", func(lib *Library) error { return potrf(lib, make([]float64, n*n)) }, ErrNotPositiveDefinite},
+		{"potrf NaN diagonal", func(lib *Library) error {
+			a := identity()
+			a[T+T*n] = math.NaN()
+			return potrf(lib, a)
+		}, ErrNotPositiveDefinite},
 		{"potrf negative diagonal", func(lib *Library) error {
 			a := identity()
 			a[T+T*n] = -1

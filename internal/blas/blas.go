@@ -450,93 +450,6 @@ func Symm[F Float](side, uplo byte, m, n int, alpha F, a []F, lda int, b []F, ld
 	return nil
 }
 
-// Trsm solves op(A)*X = alpha*B (side Left) or X*op(A) = alpha*B (side
-// Right) for X, overwriting B, where A is triangular per uplo/diag and
-// B is m x n.
-func Trsm[F Float](side, uplo, transA, diag byte, m, n int, alpha F, a []F, lda int, b []F, ldb int) error {
-	if side != Left && side != Right {
-		return badShape("trsm: bad side %q", side)
-	}
-	if uplo != Upper && uplo != Lower {
-		return badShape("trsm: bad uplo %q", uplo)
-	}
-	if err := checkTrans("trsm", transA); err != nil {
-		return err
-	}
-	if diag != Unit && diag != NonUnit {
-		return badShape("trsm: bad diag %q", diag)
-	}
-	na := m
-	if side == Right {
-		na = n
-	}
-	if err := checkMatrix("A", na, na, lda, a); err != nil {
-		return err
-	}
-	if err := checkMatrix("B", m, n, ldb, b); err != nil {
-		return err
-	}
-	// Effective triangle orientation after the transpose.
-	lower := uplo == Lower
-	if transA == Trans {
-		lower = !lower
-	}
-	at := func(i, j int) F {
-		if transA == Trans {
-			i, j = j, i
-		}
-		return a[i+j*lda]
-	}
-	if alpha != 1 {
-		for j := 0; j < n; j++ {
-			for i := 0; i < m; i++ {
-				b[i+j*ldb] *= alpha
-			}
-		}
-	}
-	solveCol := func(x []F, stride, k int) {
-		// Solves the k x k system op(A)*y = x in place, where x is strided.
-		if lower {
-			for i := 0; i < k; i++ {
-				var s F
-				for l := 0; l < i; l++ {
-					s += at(i, l) * x[l*stride]
-				}
-				x[i*stride] -= s
-				if diag == NonUnit {
-					x[i*stride] /= at(i, i)
-				}
-			}
-		} else {
-			for i := k - 1; i >= 0; i-- {
-				var s F
-				for l := i + 1; l < k; l++ {
-					s += at(i, l) * x[l*stride]
-				}
-				x[i*stride] -= s
-				if diag == NonUnit {
-					x[i*stride] /= at(i, i)
-				}
-			}
-		}
-	}
-	if side == Left {
-		for j := 0; j < n; j++ {
-			solveCol(b[j*ldb:], 1, m)
-		}
-	} else {
-		// X*op(A) = B  <=>  op(A)^T * X^T = B^T: solve rows of B against
-		// the transposed triangle.
-		lower = !lower
-		origAt := at
-		at = func(i, j int) F { return origAt(j, i) }
-		for i := 0; i < m; i++ {
-			solveCol(b[i:], ldb, n)
-		}
-	}
-	return nil
-}
-
 // Named double/single precision wrappers, matching the BLAS naming scheme
 // used throughout the paper.
 

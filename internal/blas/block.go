@@ -42,7 +42,8 @@ const (
 // gemmBuffers is one worker's pair of packing buffers. The engine recycles
 // them through a sync.Pool so steady-state Gemm calls allocate nothing; the
 // float64 and float32 views share the slot because a worker only ever uses
-// the pair matching its element type.
+// the pair matching its element type. The factorization and solve kernels
+// (factor.go) borrow the A buffer of a slot as their scratch vector.
 type gemmBuffers struct {
 	a64, b64 []float64
 	a32, b32 []float32

@@ -123,3 +123,34 @@ func TestGetrfSingular(t *testing.T) {
 		t.Fatalf("want ErrSingular, got %v", err)
 	}
 }
+
+// TestFactorRejectsBadPivots pins the pivot checks: an unpivoted LU pivot
+// that is zero or not finite is singular (a tiny pivot overflows the
+// multipliers, and the infinity lands on a later pivot), and a Cholesky
+// pivot that is not > 0 — NaN included — is not positive definite.
+func TestFactorRejectsBadPivots(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		run  func() error
+		want error
+	}{
+		{"getrf subnormal pivot", func() error { return Getrf(2, []float64{1e-310, 1, 1, 1}, 2) }, ErrSingular},
+		{"getrf NaN pivot", func() error { return Getrf(2, []float64{nan, 1, 1, 1}, 2) }, ErrSingular},
+		{"getrf infinite pivot", func() error { return Getrf(2, []float64{2, 1, 1, inf}, 2) }, ErrSingular},
+		{"getrf NaN reaches later pivot", func() error { return Getrf(2, []float64{2, nan, 1, 1}, 2) }, ErrSingular},
+		{"sgetrf subnormal pivot", func() error { return Getrf(2, []float32{1e-40, 1, 1, 1}, 2) }, ErrSingular},
+		{"potrf lower NaN", func() error { return Potrf(Lower, 1, []float64{nan}, 1) }, ErrNotPositiveDefinite},
+		{"potrf upper NaN", func() error { return Potrf(Upper, 1, []float64{nan}, 1) }, ErrNotPositiveDefinite},
+		{"potrf lower NaN reaches later pivot", func() error { return Potrf(Lower, 2, []float64{4, nan, 0, 4}, 2) }, ErrNotPositiveDefinite},
+		{"potrf upper NaN reaches later pivot", func() error { return Potrf(Upper, 2, []float64{4, 0, nan, 4}, 2) }, ErrNotPositiveDefinite},
+		{"spotrf NaN", func() error { return Potrf(Lower, 1, []float32{float32(nan)}, 1) }, ErrNotPositiveDefinite},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.run(); !errors.Is(err, c.want) {
+				t.Fatalf("want %v, got %v", c.want, err)
+			}
+		})
+	}
+}

@@ -8,11 +8,13 @@ import (
 	"cocopelia/internal/parallel"
 )
 
-// Fuzz targets for the fused kernels: random geometry and coefficients,
+// Fuzz targets. For the fused kernels: random geometry and coefficients,
 // checked against the exact oracle within the k-scaled ULP bound and for
-// bitwise identity across worker counts. `go test -fuzz=FuzzGemmFMA64`
-// explores beyond the seeded corpus; a plain `go test` run replays the
-// seeds as regression cases.
+// bitwise identity across worker counts. For the factorization and solve
+// kernels: random shapes, padding, alphas and precision, checked bitwise
+// against their oracles (factor_oracle_test.go). `go test
+// -fuzz=FuzzGemmFMA64` explores beyond the seeded corpus; a plain `go
+// test` run replays the seeds as regression cases.
 
 func fuzzGeometry(seed int64) (gc gemmCase, rng *rand.Rand) {
 	rng = rand.New(rand.NewSource(seed))
@@ -111,6 +113,47 @@ func FuzzGemmFMA32(f *testing.F) {
 		}
 		if i := bitsEqual32(cw, got); i >= 0 {
 			t.Fatalf("%s: fma float32 not bitwise identical across workers (element %d)", gc.name(), i)
+		}
+	})
+}
+
+// FuzzTrsmExact draws a Trsm case — combination, shape, padding, alpha
+// and precision — from the seed and checks it bitwise against the oracle.
+func FuzzTrsmExact(f *testing.F) {
+	for _, seed := range []int64{1, 5, 16, 99, -7} {
+		f.Add(seed)
+	}
+	combos := trsmCombos()
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		combo := combos[rng.Intn(len(combos))]
+		m, n := rng.Intn(48), rng.Intn(48)
+		padA, padB := rng.Intn(3), rng.Intn(3)
+		alpha := exactAlphas[rng.Intn(len(exactAlphas))]
+		if rng.Intn(2) == 0 {
+			alpha = 2*rng.Float64() - 1
+		}
+		if rng.Intn(2) == 0 {
+			checkTrsmExact(t, rng, combo, m, n, padA, padB, alpha)
+		} else {
+			checkTrsmExact(t, rng, combo, m, n, padA, padB, float32(alpha))
+		}
+	})
+}
+
+// FuzzFactorExact draws an order, padding and precision from the seed and
+// checks Potrf (both uplos) and Getrf bitwise against the oracles.
+func FuzzFactorExact(f *testing.F) {
+	for _, seed := range []int64{2, 3, 64, 1000} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		n, pad := rng.Intn(64), rng.Intn(3)
+		if rng.Intn(2) == 0 {
+			checkFactorExact[float64](t, rng, n, pad)
+		} else {
+			checkFactorExact[float32](t, rng, n, pad)
 		}
 	})
 }

@@ -1,7 +1,8 @@
-// AVX micro-kernel of the blocked GEMM engine (float64, 4x4 micro-tile).
+// AVX exact micro-kernels of the blocked GEMM engine (float64 4x4 and
+// float32 16x4 micro-tiles).
 //
-// Arithmetic contract (see microkernel.go): per-lane IEEE-754 double
-// multiply (VMULPD) followed by an ordered add (VADDPD) per k step —
+// Arithmetic contract (see microkernel.go): per-lane IEEE-754 multiply
+// (VMULPD/VMULPS) followed by an ordered add (VADDPD/VADDPS) per k step —
 // deliberately NOT VFMADD, whose single rounding would break the bitwise
 // equality of the engine with the GemmNaive oracle and with the portable
 // Go micro-kernel used for tails and other element types.
@@ -135,5 +136,81 @@ done:
 	VMOVUPD Y1, (R10)
 	VMOVUPD Y2, (R11)
 	VMOVUPD Y3, (R12)
+	VZEROUPPER
+	RET
+
+// func sgemmKernel16x4AVX(kc int, a, b, c *float32, ldc int)
+//
+// a: packed A micro-panel, 16 floats per k step (unit stride).
+// b: packed B micro-panel, 4 floats per k step, alpha folded in.
+// c: 16x4 column-major block of C, leading dimension ldc (elements).
+//
+// The exact float32 kernel: the register tile of the fused float32 kernel
+// (two YMM of 8 lanes per C column, so eight independent add chains hide
+// the VADDPS latency), with each term a VMULPS into a scratch register
+// followed by an ordered VADDPS into its accumulator.
+TEXT ·sgemmKernel16x4AVX(SB), NOSPLIT, $0-40
+	MOVQ kc+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DI
+	MOVQ c+24(FP), DX
+	MOVQ ldc+32(FP), R8
+	SHLQ $2, R8              // ldc in bytes
+
+	MOVQ DX, R9              // &c[0, 0]
+	LEAQ (DX)(R8*1), R10     // &c[0, 1]
+	LEAQ (R10)(R8*1), R11    // &c[0, 2]
+	LEAQ (R11)(R8*1), R12    // &c[0, 3]
+
+	// Accumulators: two YMM per column (rows 0..7 and 8..15).
+	VMOVUPS (R9), Y0
+	VMOVUPS 32(R9), Y1
+	VMOVUPS (R10), Y2
+	VMOVUPS 32(R10), Y3
+	VMOVUPS (R11), Y4
+	VMOVUPS 32(R11), Y5
+	VMOVUPS (R12), Y6
+	VMOVUPS 32(R12), Y7
+
+	TESTQ CX, CX
+	JZ   done
+
+loop:
+	VMOVUPS (SI), Y8
+	VMOVUPS 32(SI), Y9
+	VBROADCASTSS (DI), Y10
+	VMULPS Y8, Y10, Y12
+	VMULPS Y9, Y10, Y13
+	VADDPS Y12, Y0, Y0
+	VADDPS Y13, Y1, Y1
+	VBROADCASTSS 4(DI), Y11
+	VMULPS Y8, Y11, Y14
+	VMULPS Y9, Y11, Y15
+	VADDPS Y14, Y2, Y2
+	VADDPS Y15, Y3, Y3
+	VBROADCASTSS 8(DI), Y10
+	VMULPS Y8, Y10, Y12
+	VMULPS Y9, Y10, Y13
+	VADDPS Y12, Y4, Y4
+	VADDPS Y13, Y5, Y5
+	VBROADCASTSS 12(DI), Y11
+	VMULPS Y8, Y11, Y14
+	VMULPS Y9, Y11, Y15
+	VADDPS Y14, Y6, Y6
+	VADDPS Y15, Y7, Y7
+	ADDQ $64, SI
+	ADDQ $16, DI
+	DECQ CX
+	JNZ  loop
+
+done:
+	VMOVUPS Y0, (R9)
+	VMOVUPS Y1, 32(R9)
+	VMOVUPS Y2, (R10)
+	VMOVUPS Y3, 32(R10)
+	VMOVUPS Y4, (R11)
+	VMOVUPS Y5, 32(R11)
+	VMOVUPS Y6, (R12)
+	VMOVUPS Y7, 32(R12)
 	VZEROUPPER
 	RET

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 	"testing/quick"
 
@@ -150,34 +151,63 @@ func TestGemmBlockedBitwiseFuzz(t *testing.T) {
 	}
 }
 
-// TestGemmBlockedFloat32 pins the float32 path (portable micro-kernel) to
-// its oracle, serial and parallel.
+// TestGemmBlockedFloat32 pins the float32 path to its oracle, serial and
+// parallel, on the exact kernel this host resolves (AVX where present) and
+// on the portable generic kernel the env pin forces.
 func TestGemmBlockedFloat32(t *testing.T) {
+	underKernelPins(t, func(t *testing.T) {
+		want := firstKernel(registered32, KernelExact, genericSel()).name
+		if os.Getenv(KernelEnv) == "generic" {
+			want = "generic"
+		}
+		if name, err := SelectedKernel[float32](KernelExact); err != nil || name != want {
+			t.Fatalf("float32 exact kernel resolved to %q (%v), want %q", name, err, want)
+		}
+		checkGemmFloat32(t)
+	})
+}
+
+// checkGemmFloat32 runs float32 shapes with ragged edges against both
+// 4x4 and 16x4 tiles, all four transpose combinations and padded leading
+// dimensions, serial and on eight workers.
+func checkGemmFloat32(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	m, n, k := 67, 45, gemmKC+9
-	a := make([]float32, m*k)
-	b := make([]float32, k*n)
-	c0 := make([]float32, m*n)
-	for i := range a {
-		a[i] = float32(rng.NormFloat64())
-	}
-	for i := range b {
-		b[i] = float32(rng.NormFloat64())
-	}
-	for i := range c0 {
-		c0[i] = float32(rng.NormFloat64())
-	}
-	ref := append([]float32(nil), c0...)
-	if err := GemmNaive[float32](NoTrans, Trans, m, n, k, 1.25, a, m, b, n, -0.5, ref, m); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []*parallel.Pool{nil, parallel.NewPool(8)} {
-		got := append([]float32(nil), c0...)
-		if err := GemmParallel[float32](p, NoTrans, Trans, m, n, k, 1.25, a, m, b, n, -0.5, got, m); err != nil {
+	for _, gc := range []gemmCase{
+		{ta: NoTrans, tb: Trans, m: 67, n: 45, k: gemmKC + 9, alpha: 1.25, beta: -0.5},
+		{ta: NoTrans, tb: NoTrans, m: 32, n: 8, k: 64, alpha: 1, beta: 0, padA: 1, padC: 2},
+		{ta: Trans, tb: NoTrans, m: 130, n: 33, k: 7, alpha: -1, beta: 1, padB: 3},
+		{ta: Trans, tb: Trans, m: gemmMC + 17, n: 19, k: 300, alpha: 0.5, beta: 2, padA: 2, padB: 1, padC: 1},
+	} {
+		aRows, aCols := gc.m, gc.k
+		if gc.ta == Trans {
+			aRows, aCols = gc.k, gc.m
+		}
+		bRows, bCols := gc.k, gc.n
+		if gc.tb == Trans {
+			bRows, bCols = gc.n, gc.k
+		}
+		lda, ldb, ldc := aRows+gc.padA, bRows+gc.padB, gc.m+gc.padC
+		alpha, beta := float32(gc.alpha), float32(gc.beta)
+		a := make([]float32, lda*aCols)
+		b := make([]float32, ldb*bCols)
+		c0 := make([]float32, ldc*gc.n)
+		for _, x := range [][]float32{a, b, c0} {
+			for i := range x {
+				x[i] = float32(rng.NormFloat64())
+			}
+		}
+		ref := append([]float32(nil), c0...)
+		if err := GemmNaive(gc.ta, gc.tb, gc.m, gc.n, gc.k, alpha, a, lda, b, ldb, beta, ref, ldc); err != nil {
 			t.Fatal(err)
 		}
-		if i := bitsEqual32(got, ref); i >= 0 {
-			t.Fatalf("workers=%d: differs from oracle at %d: %v != %v", p.Workers(), i, got[i], ref[i])
+		for _, p := range []*parallel.Pool{nil, parallel.NewPool(8)} {
+			got := append([]float32(nil), c0...)
+			if err := GemmParallel(p, gc.ta, gc.tb, gc.m, gc.n, gc.k, alpha, a, lda, b, ldb, beta, got, ldc); err != nil {
+				t.Fatal(err)
+			}
+			if i := bitsEqual32(got, ref); i >= 0 {
+				t.Fatalf("%s workers=%d: differs from oracle at %d: %v != %v", gc.name(), p.Workers(), i, got[i], ref[i])
+			}
 		}
 	}
 }

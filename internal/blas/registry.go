@@ -64,6 +64,20 @@ type kernelSel struct {
 	mr, nr int
 	f64    func(kc int, a, b, c *float64, ldc int)
 	f32    func(kc int, a, b, c *float32, ldc int)
+	// scaled64 holds the variant's element-wise float64 primitives for
+	// the factorization and solve kernels (factor.go); nil means their
+	// portable Go loops. Exact variants only.
+	scaled64 *scaledPrims64
+}
+
+// scaledPrims64 are native element-wise float64 updates: y[i] += x[i]*u
+// and y[i] -= x[i]*u over one column, and the same over four columns of y
+// at stride ldy (y[i+c*ldy] ±= x[i]*u[c]) with each x loaded once. Each
+// element takes one rounded multiply and one rounded add or subtract, so
+// the bits match the portable Go loops.
+type scaledPrims64 struct {
+	add, sub   func(y, x []float64, u float64)
+	add4, sub4 func(x, y []float64, ldy int, u [4]float64)
 }
 
 // registered64/registered32 hold the native kernels the arch init
