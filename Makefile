@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt lint lint-json race verify bench bench-blas \
+.PHONY: build test vet fmt lint lint-json race blas-generic verify bench bench-blas \
 	bench-blas-check bench-blas-smoke bench-campaign bench-campaign-check \
 	bench-campaign-smoke bench-factor bench-factor-check bench-micro \
 	bench-micro-smoke cross-arm64 eval-check plan-golden-smoke profile results
@@ -33,6 +33,12 @@ lint-json:
 test:
 	$(GO) test ./...
 
+# blas-generic runs the blas suite with every micro-kernel pinned to the
+# portable Go kernel (COCOPELIA_BLAS_KERNEL=generic), so the code path of
+# hosts without AVX stays tested on hosts that have it.
+blas-generic:
+	COCOPELIA_BLAS_KERNEL=generic $(GO) test -count=1 ./internal/blas
+
 # race runs the full suite under the race detector; the eval and
 # microbench packages exercise the parallel campaign engine, so this is
 # the concurrency regression gate.
@@ -40,13 +46,14 @@ race:
 	$(GO) test -race ./...
 
 # verify is the pre-commit gate: compile, vet, the gofmt check, the
-# invariant analyzers, the race-enabled suite, the build-only benchmark
+# invariant analyzers, the race-enabled suite, the blas suite under the
+# generic kernel pin, the build-only benchmark
 # smoke, one iteration of every per-layer microbenchmark, a sub-second run of the campaign-throughput mode, the
 # factorization-sweep identity gate, the golden tile-plan check, the
 # committed-figures identity gate, and the arm64 cross-compile (the NEON
 # kernels have no native CI runner, so assemble+vet is their regression
 # gate).
-verify: build vet fmt lint race bench-blas-smoke bench-micro-smoke \
+verify: build vet fmt lint race blas-generic bench-blas-smoke bench-micro-smoke \
 	bench-campaign-smoke bench-factor-check plan-golden-smoke eval-check \
 	cross-arm64
 

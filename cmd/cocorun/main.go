@@ -222,31 +222,33 @@ func parseLocs(s, routine string) ([]model.Loc, error) {
 }
 
 // runOnce mirrors the eval runner but on a caller-supplied runtime so the
-// trace attaches to the same device.
+// trace attaches to the same device. Every library runs on one scheduler
+// context.
 func runOnce(rt *cudart.Runtime, lib string, p eval.Problem, T int) (operand.Result, error) {
+	ctx := sched.NewContext(rt, false)
 	if p.Routine == "daxpy" {
 		x, y := vec(rt, p, 0), vec(rt, p, 1)
 		switch lib {
 		case "cocopelia":
-			return sched.NewContext(rt, false).Axpy(sched.AxpyOpts{N: p.N, Alpha: 1.1, X: x, Y: y, T: T})
+			return ctx.Axpy(sched.AxpyOpts{N: p.N, Alpha: 1.1, X: x, Y: y, T: T})
 		case "unified":
-			return unified.Daxpy(rt, p.N, 1.1, x, y, false)
+			return unified.Daxpy(ctx, p.N, 1.1, x, y)
 		}
 		return operand.Result{}, fmt.Errorf("library %s has no daxpy", lib)
 	}
 	a, b, c := mat(rt, p, 0, p.M, p.K), mat(rt, p, 1, p.K, p.N), mat(rt, p, 2, p.M, p.N)
 	switch lib {
 	case "cocopelia":
-		return sched.NewContext(rt, false).Gemm(sched.GemmOpts{
+		return ctx.Gemm(sched.GemmOpts{
 			Dtype: p.Dtype, M: p.M, N: p.N, K: p.K, Alpha: 1, Beta: 1, A: a, B: b, C: c, T: T})
 	case "noreuse":
-		return sched.NewContext(rt, false).GemmNoReuse(sched.GemmOpts{
+		return ctx.GemmNoReuse(sched.GemmOpts{
 			Dtype: p.Dtype, M: p.M, N: p.N, K: p.K, Alpha: 1, Beta: 1, A: a, B: b, C: c, T: T})
 	case "cublasxt":
-		return cublasxt.New(rt, 0, false).Gemm(cublasxt.GemmOpts{
+		return cublasxt.New(ctx, 0).Gemm(cublasxt.GemmOpts{
 			Dtype: p.Dtype, M: p.M, N: p.N, K: p.K, Alpha: 1, Beta: 1, A: a, B: b, C: c, T: T})
 	case "blasx":
-		return blasx.New(rt, false).Gemm(blasx.GemmOpts{
+		return blasx.New(ctx).Gemm(blasx.GemmOpts{
 			Dtype: p.Dtype, M: p.M, N: p.N, K: p.K, Alpha: 1, Beta: 1, A: a, B: b, C: c})
 	}
 	return operand.Result{}, fmt.Errorf("unknown library %s", lib)

@@ -3,6 +3,7 @@ package blas
 import (
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -369,11 +370,27 @@ func TestKernelEnvPinEndToEnd(t *testing.T) {
 }
 
 // TestSelectedKernelNames sanity-checks the reported variant names on
-// this host.
+// this host. Under a KernelEnv pin the names must be the pin's
+// resolution; the policy checks below hold only without one.
 func TestSelectedKernelNames(t *testing.T) {
 	exact, err := SelectedKernel[float64](KernelExact)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if pin := os.Getenv(KernelEnv); pin != "" {
+		tab, err := resolveFromEnv(pin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fma, err := SelectedKernel[float64](KernelFMA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact != tab[slotF64Exact].name || fma != tab[slotF64FMA].name {
+			t.Errorf("%s=%s: f64 kernels resolved to exact %q, fma %q; want %q, %q",
+				KernelEnv, pin, exact, fma, tab[slotF64Exact].name, tab[slotF64FMA].name)
+		}
+		return
 	}
 	if exact != "generic" && exact != "avx" {
 		t.Errorf("f64 exact kernel %q: want generic or avx", exact)

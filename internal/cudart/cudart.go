@@ -18,18 +18,30 @@
 // real arithmetic/data movement on backed buffers, so schedulers are
 // verified numerically and timed by the same code path.
 //
-// Work reaches the hardware along two paths. The dynamic op path —
-// the checked copies, the BLAS Async wrappers, KernelAsync and Callback —
-// enqueues one op at a time, each with a completion event and waiter
-// edges. The static path (graph.go) launches a whole dependency graph
-// known in advance, such as a compiled plan tape, with index-addressed
-// completion and real events only at its boundary. Both produce the same
-// hardware calls in the same order.
+// Work reaches the hardware along one production path: the static
+// dependency graph (graph.go). Every plan replay — the CoCoPeLia and
+// no-reuse schedules, the factorization task graphs and the cuBLASXt,
+// BLASX and unified-memory comparators — launches a whole graph known in
+// advance, with index-addressed completion and real events only at its
+// boundary.
+//
+// A small dynamic op path remains, one op at a time with a completion
+// event and waiter edges, for the uses that are not a plan:
+//
+//   - Record, WaitEvent and Callback, which sched.OnDrained uses to
+//     timestamp a pending run inside a larger batch;
+//   - the checked 1-D copies, which the public cocopelia DeviceMatrix
+//     helpers use to move whole operands;
+//   - the bridges that connect a graph's first nodes to earlier work on
+//     their streams;
+//   - SetMatrixAsync, GetMatrixAsync and KernelAsync(name, dur, func()),
+//     the checked entry points the test references drive to pin the graph
+//     launch against op-by-op enqueueing.
 //
 // The dynamic path is allocation-free in steady state: per-launch op
 // objects and their completion events come from runtime-owned free lists,
-// operand descriptions live in fields of the op (dispatched by kind)
-// instead of per-call closures, and the dependency-edge slices reuse their
+// transfer operands live in fields of the op (dispatched by kind) instead
+// of per-call closures, and the dependency-edge slices reuse their
 // backing arrays. Ops recycle as soon as their hardware work completes;
 // events recycle at the next successful Sync, which is also when every
 // stream's tail is reset to the shared pre-completed event.
@@ -90,14 +102,10 @@ const (
 // op is one scheduled stream operation. Ops are recycled through the
 // runtime free list the moment their hardware work completes.
 //
-// The layout is tuned for the firing path, which touches hundreds of
-// thousands of scattered op objects per replay: the fields depSatisfied,
-// launch and finish read (pointers first, then the packed small scalars)
-// sit together at the front, and the functional operands of backed ops
-// live behind the host and call pointers in separately pooled objects,
-// keeping the op itself at 96 bytes. Timing-only ops — the overwhelming
-// majority in paper-scale sweeps — never carry either, so the replay
-// working set stays dense.
+// The fields depSatisfied, launch and finish read (pointers first, then
+// the packed small scalars) sit together at the front, and the host
+// window of a backed transfer lives behind the host pointer in a
+// separately pooled object, so timing-only ops stay small.
 type op struct {
 	rt       *Runtime
 	complete *Event
@@ -109,8 +117,7 @@ type op struct {
 	hwDone func()
 
 	payload func()
-	host    *window     // functional transfer operands; nil when timing-only
-	call    *kernelCall // functional kernel operands; nil when timing-only
+	host    *window // functional transfer operands; nil when timing-only
 
 	// deps is the outstanding-dependency count (valid between enqueue and
 	// launch).
@@ -206,7 +213,6 @@ func (o *op) finish() {
 type Runtime struct {
 	dev         *device.Device
 	outstanding int
-	streams     int
 	streamList  []*Stream
 	payloadPool *parallel.Pool
 	// payloadPolicy selects the CPU kernel numerics for backed payloads:
@@ -230,109 +236,29 @@ type Runtime struct {
 	// dependency-firing path chases op pointers hundreds of thousands of
 	// times per replay, and slab-packed neighbours keep it in cache where
 	// individually allocated ops scatter across the heap.
-	opFree   []*op
-	opSlab   []op
-	evFree   []*Event
-	evLive   []*Event
-	evSlab   []Event
-	winFree  []*window
-	callFree []*kernelCall
-
-	// kernelTimes memoizes the pure kernel-model duration lookups: a tiled
-	// sweep launches thousands of identically-shaped kernels, and the
-	// model's exp/log/cbrt evaluation dominates an otherwise trivial path.
-	// Keys pack (routine, dtype, dims) into one integer — integer map
-	// hashing is markedly cheaper than hashing a four-field struct — and
-	// ktLast short-circuits the map entirely for the common case of
-	// back-to-back launches of the same shape.
-	kernelTimes map[int64]float64
-	ktLastKey   int64
-	ktLastDur   float64
-}
-
-// Kernel-time key layout: routine tag | dtype | 20-bit dims. Dimensions at
-// or above ktDimLimit bypass the memo (the model evaluation is pure, so
-// skipping the cache never changes results).
-const (
-	ktDimLimit = 1 << 20
-	ktGemm     = int64(1) << 61
-	ktGemv     = int64(2) << 61
-	ktAxpy     = int64(3) << 61
-)
-
-// kernelTime returns the memoized duration for key, evaluating the model on
-// a miss. key must be non-zero (the routine tag guarantees this), so the
-// zero value of ktLastKey never aliases a real entry.
-func (rt *Runtime) kernelTime(key int64, eval func() float64) float64 {
-	if key == rt.ktLastKey {
-		return rt.ktLastDur
-	}
-	dur, ok := rt.kernelTimes[key]
-	if !ok {
-		dur = eval()
-		if rt.kernelTimes == nil {
-			rt.kernelTimes = make(map[int64]float64)
-		}
-		rt.kernelTimes[key] = dur
-	}
-	rt.ktLastKey, rt.ktLastDur = key, dur
-	return dur
-}
-
-// gemmTime returns the memoized gemm kernel duration for the shape.
-func (rt *Runtime) gemmTime(dt kernelmodel.Dtype, m, n, k int) float64 {
-	if m >= ktDimLimit || n >= ktDimLimit || k >= ktDimLimit {
-		return kernelmodel.GemmTime(&rt.dev.Testbed().GPU, dt, m, n, k)
-	}
-	key := ktGemm | int64(dt)<<60 | int64(m)<<40 | int64(n)<<20 | int64(k)
-	return rt.kernelTime(key, func() float64 {
-		return kernelmodel.GemmTime(&rt.dev.Testbed().GPU, dt, m, n, k)
-	})
-}
-
-// gemvTime returns the memoized gemv kernel duration for the shape.
-func (rt *Runtime) gemvTime(dt kernelmodel.Dtype, m, n int) float64 {
-	if m >= ktDimLimit || n >= ktDimLimit {
-		return kernelmodel.GemvTime(&rt.dev.Testbed().GPU, dt, m, n)
-	}
-	key := ktGemv | int64(dt)<<60 | int64(m)<<40 | int64(n)<<20
-	return rt.kernelTime(key, func() float64 {
-		return kernelmodel.GemvTime(&rt.dev.Testbed().GPU, dt, m, n)
-	})
-}
-
-// axpyTime returns the memoized axpy kernel duration for the length.
-func (rt *Runtime) axpyTime(dt kernelmodel.Dtype, n int) float64 {
-	if n >= ktDimLimit {
-		return kernelmodel.AxpyTime(&rt.dev.Testbed().GPU, dt, n)
-	}
-	key := ktAxpy | int64(dt)<<60 | int64(n)<<20
-	return rt.kernelTime(key, func() float64 {
-		return kernelmodel.AxpyTime(&rt.dev.Testbed().GPU, dt, n)
-	})
+	opFree  []*op
+	opSlab  []op
+	evFree  []*Event
+	evLive  []*Event
+	evSlab  []Event
+	winFree []*window
 }
 
 // New creates a runtime bound to a device.
 func New(dev *device.Device) *Runtime { return &Runtime{dev: dev} }
 
 // Reset rebinds the runtime to a fresh device while keeping its warmed
-// object pools: the op and event free lists, and — when the new device runs
-// the same testbed — the memoized kernel durations. Streams of the previous
-// run are dropped. Operations still pending (after a failed Sync) are
-// abandoned exactly as discarding the runtime would abandon them, with
+// object pools: the op, event and window free lists. Streams of the
+// previous run are dropped. Operations still pending (after a failed Sync)
+// are abandoned exactly as discarding the runtime would abandon them, with
 // their live events recycled; graph launch states they ran in become
-// Idle. After Reset the runtime behaves identically
-// to New(dev); only allocation behaviour differs.
+// Idle. After Reset the runtime behaves identically to New(dev); only
+// allocation behaviour differs.
 func (rt *Runtime) Reset(dev *device.Device) {
-	if rt.dev == nil || dev == nil || rt.dev.Testbed() != dev.Testbed() {
-		rt.kernelTimes = nil
-		rt.ktLastKey, rt.ktLastDur = 0, 0
-	}
 	rt.dev = dev
 	rt.epoch++
 	rt.payloadErr = nil
 	rt.outstanding = 0
-	rt.streams = 0
 	rt.payloadPool = nil
 	rt.payloadPolicy = blas.KernelExact
 	for i := range rt.streamList {
@@ -414,7 +340,7 @@ func (rt *Runtime) newOp(kind opKind) *op {
 }
 
 // recycleOp clears an op's references and parks it on the free list,
-// returning any transfer window or kernel call to its pool.
+// returning any transfer window to its pool.
 func (rt *Runtime) recycleOp(o *op) {
 	o.complete = nil
 	o.name = ""
@@ -423,11 +349,6 @@ func (rt *Runtime) recycleOp(o *op) {
 		o.host = nil
 		*w = window{}
 		rt.winFree = append(rt.winFree, w)
-	}
-	if c := o.call; c != nil {
-		o.call = nil
-		c.Payload = Payload{}
-		rt.callFree = append(rt.callFree, c)
 	}
 	rt.opFree = append(rt.opFree, o)
 }
@@ -445,21 +366,6 @@ func (rt *Runtime) allocWindow(buf *DevBuffer, w *Window) *window {
 	}
 	b.Window, b.buf = *w, buf
 	return b
-}
-
-// allocCall returns a recycled (or fresh) kernel call holding a copy of p.
-func (rt *Runtime) allocCall(p *Payload) *kernelCall {
-	var c *kernelCall
-	if n := len(rt.callFree); n > 0 {
-		c = rt.callFree[n-1]
-		rt.callFree[n-1] = nil
-		rt.callFree = rt.callFree[:n-1]
-	} else {
-		c = &kernelCall{rt: rt}
-		c.run = c.exec
-	}
-	c.Payload = *p
-	return c
 }
 
 // needsWindow reports whether a transfer between buf and the given host
@@ -555,7 +461,6 @@ func addWaiter(e *Event, o *op) bool {
 // Stream is an in-order command queue.
 type Stream struct {
 	rt    *Runtime
-	id    int
 	tail  *Event
 	waits []*Event
 }
@@ -563,31 +468,9 @@ type Stream struct {
 // NewStream creates a stream. The runtime tracks it so Sync can reset its
 // tail when the completed batch's events are recycled.
 func (rt *Runtime) NewStream() *Stream {
-	rt.streams++
-	s := &Stream{rt: rt, id: rt.streams, tail: doneEvent}
+	s := &Stream{rt: rt, tail: doneEvent}
 	rt.streamList = append(rt.streamList, s)
 	return s
-}
-
-// ID returns a small integer identifying the stream (useful in traces).
-func (s *Stream) ID() int { return s.id }
-
-// TruncateStreams drops every stream created after the first n and rewinds
-// the stream-id counter, so the next NewStream call hands out the same id a
-// fresh runtime's n+1-th stream would get. Callers that pool a runtime
-// together with a context holding n long-lived streams use it to shed the
-// per-call streams comparator libraries create, keeping both the Sync
-// tail-reset loop and the id sequence identical across pooled repetitions.
-// It must only be called between batches (no operations outstanding).
-func (rt *Runtime) TruncateStreams(n int) {
-	if n > len(rt.streamList) {
-		n = len(rt.streamList)
-	}
-	for i := n; i < len(rt.streamList); i++ {
-		rt.streamList[i] = nil
-	}
-	rt.streamList = rt.streamList[:n]
-	rt.streams = n
 }
 
 // WaitEvent orders all work submitted to s after this call behind ev.
@@ -647,23 +530,6 @@ func (s *Stream) transferOp(dir machine.LinkDir, bytes int64, buf *DevBuffer, w 
 	if w != nil && needsWindow(buf, w.F64, w.F32) {
 		//lint:ignore hotpath window free-list pop; timing-only replays pass a nil window and never reach it
 		o.host = s.rt.allocWindow(buf, w)
-	}
-	return s.enqueue(o)
-}
-
-// kernelOp enqueues a kernel with a precomputed duration. A non-nil
-// payload whose output buffer is backed runs its blas body when the kernel
-// completes; otherwise the kernel is timing-only. GemmAsync, GemvAsync and
-// AxpyAsync launch through here.
-//
-//cocolint:hotpath
-func (s *Stream) kernelOp(name string, duration float64, p *Payload) *Event {
-	o := s.rt.allocOp(opKernel)
-	o.name, o.duration = name, duration
-	if p != nil && p.out().Buf.Backed() {
-		//lint:ignore hotpath kernel-call free-list pop; timing-only replays pass a nil payload and never reach it
-		o.call = s.rt.allocCall(p)
-		o.payload = o.call.run
 	}
 	return s.enqueue(o)
 }
@@ -881,9 +747,8 @@ func (s *Stream) GetMatrixAsync(rows, cols int, src *DevBuffer, srcOff int64, ld
 	return s.matrix2D(machine.D2H, src, &w, "getmatrix")
 }
 
-// KernelAsync enqueues a generic kernel with an explicit duration and an
-// optional functional payload. Comparator libraries use it to model their
-// own runtime overheads (e.g. tile-management work) on the compute engine.
+// KernelAsync enqueues a kernel with an explicit duration and an optional
+// functional payload that runs when the kernel completes.
 func (s *Stream) KernelAsync(name string, duration float64, payload func()) (*Event, error) {
 	if duration < 0 {
 		return nil, fmt.Errorf("cudart: negative kernel duration %g", duration)
@@ -891,58 +756,4 @@ func (s *Stream) KernelAsync(name string, duration float64, payload func()) (*Ev
 	o := s.rt.allocOp(opKernel)
 	o.name, o.duration, o.payload = name, duration, payload
 	return s.enqueue(o), nil
-}
-
-// GemmAsync enqueues C = alpha*op(A)*op(B) + beta*C on the stream, where
-// the operands are column-major submatrices of device buffers. Timing comes
-// from the kernel ground-truth model; arithmetic runs on backed buffers.
-func (s *Stream) GemmAsync(transA, transB byte, m, n, k int,
-	alpha float64, a *DevBuffer, offA int64, lda int,
-	b *DevBuffer, offB int64, ldb int,
-	beta float64, c *DevBuffer, offC int64, ldc int) (*Event, error) {
-
-	dt := c.dt
-	if a.dt != dt || b.dt != dt {
-		return nil, errors.New("cudart: gemm operand dtype mismatch")
-	}
-	name := "dgemm"
-	if dt == kernelmodel.F32 {
-		name = "sgemm"
-	}
-	p := Payload{Kind: PayloadGemm, TransA: transA, TransB: transB, M: m, N: n, K: k,
-		Alpha: alpha, Beta: beta,
-		A: Operand{a, offA, lda}, B: Operand{b, offB, ldb}, C: Operand{c, offC, ldc}}
-	return s.kernelOp(name, s.rt.gemmTime(dt, m, n, k), &p), nil
-}
-
-// AxpyAsync enqueues y += alpha*x over device vectors.
-func (s *Stream) AxpyAsync(n int, alpha float64, x *DevBuffer, offX int64, y *DevBuffer, offY int64) (*Event, error) {
-	if x.dt != y.dt {
-		return nil, errors.New("cudart: axpy operand dtype mismatch")
-	}
-	if err := memcpyBounds(x, offX, int64(n), "axpy x"); err != nil {
-		return nil, err
-	}
-	if err := memcpyBounds(y, offY, int64(n), "axpy y"); err != nil {
-		return nil, err
-	}
-	dt := y.dt
-	name := "daxpy"
-	if dt == kernelmodel.F32 {
-		name = "saxpy"
-	}
-	p := Payload{Kind: PayloadAxpy, N: n, Alpha: alpha, A: Operand{x, offX, 0}, C: Operand{y, offY, 0}}
-	return s.kernelOp(name, s.rt.axpyTime(dt, n), &p), nil
-}
-
-// GemvAsync enqueues y = alpha*op(A)*x + beta*y over device operands.
-func (s *Stream) GemvAsync(trans byte, m, n int, alpha float64,
-	a *DevBuffer, offA int64, lda int, x *DevBuffer, offX int64,
-	beta float64, y *DevBuffer, offY int64) (*Event, error) {
-	if a.dt != x.dt || x.dt != y.dt {
-		return nil, errors.New("cudart: gemv operand dtype mismatch")
-	}
-	p := Payload{Kind: PayloadGemv, TransA: trans, M: m, N: n, Alpha: alpha, Beta: beta,
-		A: Operand{a, offA, lda}, B: Operand{x, offX, 0}, C: Operand{y, offY, 0}}
-	return s.kernelOp("gemv", s.rt.gemvTime(y.dt, m, n), &p), nil
 }

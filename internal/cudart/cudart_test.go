@@ -18,6 +18,27 @@ func newRT() *Runtime {
 	return New(device.New(eng, machine.TestbedI(), 1, true))
 }
 
+// launchKernel enqueues one kernel on s as a one-node backed graph launch
+// that runs p when the kernel completes: the path every kernel of a backed
+// plan replay takes.
+func launchKernel(s *Stream, name string, dur float64, p Payload) {
+	g := NewGraph([]string{name}, 1, 1, 0)
+	g.AddKernel(0, 0, dur, nil)
+	g.Seal()
+	x := &GraphExec{}
+	x.Bind(g)
+	x.BindPayload(0, &p)
+	x.Launch(g, []*Stream{s}, true)
+}
+
+// gemmAsync enqueues C = alpha*A*B on s for packed column-major operands,
+// timed by the kernel model.
+func gemmAsync(s *Stream, m, n, k int, alpha float64, a, b, c *DevBuffer) {
+	dur := kernelmodel.GemmTime(&s.rt.Device().Testbed().GPU, c.Dtype(), m, n, k)
+	launchKernel(s, "dgemm", dur, Payload{Kind: PayloadGemm, TransA: blas.NoTrans, TransB: blas.NoTrans,
+		M: m, N: n, K: k, Alpha: alpha, A: Operand{a, 0, m}, B: Operand{b, 0, k}, C: Operand{c, 0, m}})
+}
+
 func TestStreamOrdering(t *testing.T) {
 	rt := newRT()
 	s := rt.NewStream()
@@ -192,9 +213,7 @@ func TestGemmAsyncFunctional(t *testing.T) {
 	dC, _ := rt.Malloc(kernelmodel.F64, int64(m*n), true)
 	_, _ = s.MemcpyH2DAsync(dA, 0, hostA, nil, int64(m*k))
 	_, _ = s.MemcpyH2DAsync(dB, 0, hostB, nil, int64(k*n))
-	if _, err := s.GemmAsync(blas.NoTrans, blas.NoTrans, m, n, k, 1, dA, 0, m, dB, 0, k, 0, dC, 0, m); err != nil {
-		t.Fatal(err)
-	}
+	gemmAsync(s, m, n, k, 1, dA, dB, dC)
 	_, _ = s.MemcpyD2HAsync(hostC, nil, dC, 0, int64(m*n))
 	if _, err := rt.Sync(); err != nil {
 		t.Fatal(err)
@@ -233,9 +252,7 @@ func TestGemmAsyncPayloadPoolBitwise(t *testing.T) {
 		dC, _ := rt.Malloc(kernelmodel.F64, int64(m*n), true)
 		_, _ = s.MemcpyH2DAsync(dA, 0, hostA, nil, int64(m*k))
 		_, _ = s.MemcpyH2DAsync(dB, 0, hostB, nil, int64(k*n))
-		if _, err := s.GemmAsync(blas.NoTrans, blas.NoTrans, m, n, k, 1.25, dA, 0, m, dB, 0, k, 0, dC, 0, m); err != nil {
-			t.Fatal(err)
-		}
+		gemmAsync(s, m, n, k, 1.25, dA, dB, dC)
 		out := make([]float64, m*n)
 		_, _ = s.MemcpyD2HAsync(out, nil, dC, 0, int64(m*n))
 		if _, err := rt.Sync(); err != nil {
@@ -280,9 +297,7 @@ func TestGemmAsyncPayloadPolicy(t *testing.T) {
 		dC, _ := rt.Malloc(kernelmodel.F64, int64(m*n), true)
 		_, _ = s.MemcpyH2DAsync(dA, 0, hostA, nil, int64(m*k))
 		_, _ = s.MemcpyH2DAsync(dB, 0, hostB, nil, int64(k*n))
-		if _, err := s.GemmAsync(blas.NoTrans, blas.NoTrans, m, n, k, 1.25, dA, 0, m, dB, 0, k, 0, dC, 0, m); err != nil {
-			t.Fatal(err)
-		}
+		gemmAsync(s, m, n, k, 1.25, dA, dB, dC)
 		out := make([]float64, m*n)
 		_, _ = s.MemcpyD2HAsync(out, nil, dC, 0, int64(m*n))
 		if _, err := rt.Sync(); err != nil {
@@ -331,12 +346,16 @@ func TestGemmAsyncPayloadPolicy(t *testing.T) {
 	}
 }
 
+// TestGemmDtypeMismatch launches a backed gemm whose B operand has the
+// wrong dtype: the payload runner must report it from Sync, not panic.
 func TestGemmDtypeMismatch(t *testing.T) {
 	rt := newRT()
 	s := rt.NewStream()
-	d64, _ := rt.Malloc(kernelmodel.F64, 16, false)
-	d32, _ := rt.Malloc(kernelmodel.F32, 16, false)
-	if _, err := s.GemmAsync(blas.NoTrans, blas.NoTrans, 2, 2, 2, 1, d64, 0, 2, d32, 0, 2, 0, d64, 0, 2); err == nil {
+	d64, _ := rt.Malloc(kernelmodel.F64, 16, true)
+	d32, _ := rt.Malloc(kernelmodel.F32, 16, true)
+	launchKernel(s, "dgemm", 1e-6, Payload{Kind: PayloadGemm, TransA: blas.NoTrans, TransB: blas.NoTrans,
+		M: 2, N: 2, K: 2, Alpha: 1, A: Operand{d64, 0, 2}, B: Operand{d32, 0, 2}, C: Operand{d64, 0, 2}})
+	if _, err := rt.Sync(); err == nil {
 		t.Error("dtype mismatch should error")
 	}
 }
@@ -355,9 +374,11 @@ func TestAxpyAsyncFunctional(t *testing.T) {
 	dY, _ := rt.Malloc(kernelmodel.F64, int64(n), true)
 	_, _ = s.MemcpyH2DAsync(dX, 0, x, nil, int64(n))
 	_, _ = s.MemcpyH2DAsync(dY, 0, y, nil, int64(n))
-	if _, err := s.AxpyAsync(n, 2, dX, 0, dY, 0); err != nil {
-		t.Fatal(err)
+	axpy := func(n int, alpha float64) {
+		launchKernel(s, "daxpy", 1e-6, Payload{Kind: PayloadAxpy, N: n, Alpha: alpha,
+			A: Operand{Buf: dX}, C: Operand{Buf: dY}})
 	}
+	axpy(n, 2)
 	out := make([]float64, n)
 	_, _ = s.MemcpyD2HAsync(out, nil, dY, 0, int64(n))
 	if _, err := rt.Sync(); err != nil {
@@ -368,7 +389,8 @@ func TestAxpyAsyncFunctional(t *testing.T) {
 			t.Fatalf("axpy mismatch at %d: %g", i, out[i])
 		}
 	}
-	if _, err := s.AxpyAsync(200, 1, dX, 0, dY, 0); err == nil {
+	axpy(200, 1)
+	if _, err := rt.Sync(); err == nil {
 		t.Error("axpy out of range should error")
 	}
 }
@@ -384,9 +406,8 @@ func TestGemvAsyncFunctional(t *testing.T) {
 	dY, _ := rt.Malloc(kernelmodel.F64, 3, true)
 	_, _ = s.MemcpyH2DAsync(dA, 0, a, nil, 6)
 	_, _ = s.MemcpyH2DAsync(dX, 0, x, nil, 2)
-	if _, err := s.GemvAsync(blas.NoTrans, m, n, 1, dA, 0, m, dX, 0, 0, dY, 0); err != nil {
-		t.Fatal(err)
-	}
+	launchKernel(s, "gemv", 1e-6, Payload{Kind: PayloadGemv, TransA: blas.NoTrans, M: m, N: n, Alpha: 1,
+		A: Operand{dA, 0, m}, B: Operand{Buf: dX}, C: Operand{Buf: dY}})
 	out := make([]float64, 3)
 	_, _ = s.MemcpyD2HAsync(out, nil, dY, 0, 3)
 	if _, err := rt.Sync(); err != nil {
@@ -411,7 +432,7 @@ func TestThreeWayOverlap(t *testing.T) {
 	in, _ := rt.Malloc(kernelmodel.F64, elems, false)
 	out, _ := rt.Malloc(kernelmodel.F64, elems, false)
 	_, _ = sIn.MemcpyH2DAsync(in, 0, nil, nil, elems)
-	_, _ = sK.GemmAsync(blas.NoTrans, blas.NoTrans, 2048, 2048, 2048, 1, in, 0, 2048, in, 0, 2048, 0, out, 0, 2048)
+	gemmAsync(sK, 2048, 2048, 2048, 1, in, in, out)
 	_, _ = sOut.MemcpyD2HAsync(nil, nil, out, 0, elems)
 	end, err := rt.Sync()
 	if err != nil {

@@ -1,13 +1,14 @@
 package cudart
 
 // Static dependency graphs: the simulator's cudaGraphLaunch. A Graph is a
-// DAG of transfers and kernels spread over GraphStreams in-order streams,
-// known in full before it runs (plan tapes lower to one when they are
-// compiled). Launching it issues exactly the LaunchKernel/Link.Submit calls,
-// in exactly the order, that enqueueing the same nodes one by one through
-// the dynamic op path would — so the (at, seq) order of every simulation
-// event, and every noise draw, is unchanged — but interior nodes carry no
-// op object, completion Event or waiter entry:
+// DAG of transfers and kernels spread over a fixed number of in-order
+// stream slots, known in full before it runs (plan tapes lower to one when
+// they are compiled). Launching it issues exactly the
+// LaunchKernel/Link.Submit calls, in exactly the order, that enqueueing
+// the same nodes one by one through the dynamic op path would — so the
+// (at, seq) order of every simulation event, and every noise draw, is
+// unchanged — but interior nodes carry no op object, completion Event or
+// waiter entry:
 //
 //   - each node's outstanding-dependency count is an int32 in the launch
 //     state, initialised from the graph (the stream predecessor plus the
@@ -39,10 +40,6 @@ import (
 	"cocopelia/internal/machine"
 )
 
-// GraphStreams is the number of streams a graph's nodes are spread over;
-// Launch takes one stream per slot.
-const GraphStreams = 3
-
 // Graph node kinds.
 const (
 	gTransfer uint8 = iota
@@ -70,9 +67,9 @@ type Graph struct {
 	count       []int32 // initial in-graph dependency counts
 	succOff     []int32 // CSR offsets into succ; len(nodes)+1 once sealed
 	succ        []int32
-	first, last [GraphStreams]int32
+	first, last []int32 // per stream slot
 	starts      []int32 // the streams' first nodes, in node order
-	tails       [GraphStreams][]int32
+	tails       [][]int32
 	events      int // boundary nodes (stream-last or tail-wait)
 
 	// pred holds each node's predecessor entries (stream predecessor, then
@@ -80,18 +77,24 @@ type Graph struct {
 	pred, predOff []int32
 }
 
-// NewGraph starts an empty graph whose kernel nodes name themselves by
-// index into names, sized for n nodes with deps recorded dependencies in
-// total: a graph lives as long as the plan that compiled it, so its arrays
-// are allocated at their final size rather than grown by doubling.
-func NewGraph(names []string, n, deps int) *Graph {
+// NewGraph starts an empty graph over streams stream slots (at most 256)
+// whose kernel nodes name themselves by index into names, sized for n
+// nodes with deps recorded dependencies in total: a graph lives as long as
+// the plan that compiled it, so its arrays are allocated at their final
+// size rather than grown by doubling.
+func NewGraph(names []string, streams, n, deps int) *Graph {
 	g := &Graph{names: names, nodes: make([]graphNode, 0, n), count: make([]int32, 0, n),
+		first: make([]int32, streams), last: make([]int32, streams), tails: make([][]int32, streams),
 		pred: make([]int32, 0, n+deps), predOff: make([]int32, 0, n+1)}
 	for k := range g.first {
 		g.first[k], g.last[k] = -1, -1
 	}
 	return g
 }
+
+// Streams returns the number of stream slots; Launch takes one stream per
+// slot.
+func (g *Graph) Streams() int { return len(g.first) }
 
 // add appends a node on stream after its stream predecessor and deps
 // (earlier node ids, in wait order) and returns its id.
@@ -173,7 +176,7 @@ func (g *Graph) Seal() {
 			mark(i)
 		}
 	}
-	for i := 1; i < len(g.starts); i++ { // at most GraphStreams entries
+	for i := 1; i < len(g.starts); i++ { // at most one entry per stream slot
 		for j := i; j > 0 && g.starts[j] < g.starts[j-1]; j-- {
 			g.starts[j], g.starts[j-1] = g.starts[j-1], g.starts[j]
 		}
@@ -249,7 +252,7 @@ type GraphExec struct {
 	compDone func()
 	payload  func()
 	startFn  func()
-	extFn    [GraphStreams]func()
+	extFn    []func()
 }
 
 // Idle reports whether the state can take a new launch: its last launch
@@ -286,28 +289,31 @@ func (x *GraphExec) BindPayload(i int32, p *Payload) {
 	}
 }
 
-// init creates the cached callbacks.
-func (x *GraphExec) init() {
-	x.linkDone[machine.H2D] = func() { x.transferDone(machine.H2D) }
-	x.linkDone[machine.D2H] = func() { x.transferDone(machine.D2H) }
-	x.compDone = x.kernelDone
-	x.payload = x.runPayload
-	x.startFn = x.startNode
-	for k := range x.extFn {
-		x.extFn[k] = func() { x.release(x.g.first[k]) }
+// init creates the cached callbacks, with one stream bridge per slot up to
+// streams.
+func (x *GraphExec) init(streams int) {
+	if x.compDone == nil {
+		x.linkDone[machine.H2D] = func() { x.transferDone(machine.H2D) }
+		x.linkDone[machine.D2H] = func() { x.transferDone(machine.D2H) }
+		x.compDone = x.kernelDone
+		x.payload = x.runPayload
+		x.startFn = x.startNode
+	}
+	for k := len(x.extFn); k < streams; k++ {
+		x.extFn = append(x.extFn, func() { x.release(x.g.first[k]) })
 	}
 }
 
-// Launch enqueues g onto streams s (one per graph stream slot, all on one
-// runtime), after the work already submitted to them. backed launches use
-// the windows and payloads bound since the last Bind; timing-only launches
-// move no data. The state must be Idle.
+// Launch enqueues g onto streams s (at least one per graph stream slot,
+// all on one runtime), after the work already submitted to them. backed
+// launches use the windows and payloads bound since the last Bind;
+// timing-only launches move no data. The state must be Idle.
 //
 //cocolint:hotpath
-func (x *GraphExec) Launch(g *Graph, s [GraphStreams]*Stream, backed bool) {
-	if x.compDone == nil {
-		//lint:ignore hotpath the cached callbacks are created once per launch state
-		x.init()
+func (x *GraphExec) Launch(g *Graph, s []*Stream, backed bool) {
+	if x.compDone == nil || len(x.extFn) < len(g.first) {
+		//lint:ignore hotpath the cached callbacks are created once per launch state and stream slot
+		x.init(len(g.first))
 	}
 	rt := s[0].rt
 	x.rt, x.g, x.epoch, x.backed = rt, g, rt.epoch, backed
@@ -357,14 +363,14 @@ func (x *GraphExec) Launch(g *Graph, s [GraphStreams]*Stream, backed bool) {
 	}
 	// Boundary out: the streams' last nodes become their tails, and the
 	// tail-wait nodes stay pending on their streams.
-	for k, st := range s {
-		if l := g.last[k]; l >= 0 {
-			st.tail = x.events[g.nodes[l].ev]
+	for k, l := range g.last {
+		if l >= 0 {
+			s[k].tail = x.events[g.nodes[l].ev]
 		}
 	}
-	for k, st := range s {
-		for _, i := range g.tails[k] {
-			st.WaitEvent(x.events[g.nodes[i].ev])
+	for k, tails := range g.tails {
+		for _, i := range tails {
+			s[k].WaitEvent(x.events[g.nodes[i].ev])
 		}
 	}
 }

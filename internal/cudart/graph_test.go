@@ -13,16 +13,29 @@ import (
 
 // The graph tests pin a static graph launch to the dynamic op path: the
 // same nodes enqueued one by one — each node's dependency waits, then a
-// transferOp or kernelOp, then the tail waits — must produce the identical
-// trace on a noisy device, including around work that precedes and
-// follows the launch on the same streams.
+// transferOp or KernelAsync, then the tail waits — must produce the
+// identical trace on a noisy device, including around work that precedes
+// and follows the launch on the same streams.
 
 var graphTestNames = []string{"ka", "kb", "kc"}
+
+// testStreams is the stream-slot count of the test graphs: one more than
+// the three a CoCoPeLia plan uses, as a cuBLASXt plan does.
+const testStreams = 4
+
+// kernel enqueues a timing-only kernel through the dynamic op path.
+func kernel(s *Stream, name string, dur float64) *Event {
+	ev, err := s.KernelAsync(name, dur, nil)
+	if err != nil {
+		panic(err)
+	}
+	return ev
+}
 
 // graphSpec is a random graph in builder terms, replayable by both paths.
 type graphSpec struct {
 	nodes  []specNode
-	tails  [GraphStreams][]int32
+	tails  [testStreams][]int32
 	events []*Event // enqueue's scratch: each node's completion event
 }
 
@@ -43,7 +56,7 @@ type specNode struct {
 func randomGraph(rng *rand.Rand, n int) *graphSpec {
 	g := &graphSpec{}
 	for i := 0; i < n; i++ {
-		nd := specNode{stream: rng.Intn(GraphStreams), kernel: rng.Intn(2) == 0,
+		nd := specNode{stream: rng.Intn(testStreams), kernel: rng.Intn(2) == 0,
 			dir: machine.LinkDir(rng.Intn(2)), bytes: int64(1 + rng.Intn(1<<20)),
 			dur: 1e-6 * float64(1+rng.Intn(200)), name: uint8(rng.Intn(len(graphTestNames)))}
 		for d := rng.Intn(4); d > 0 && i > 0; d-- {
@@ -61,7 +74,7 @@ func randomGraph(rng *rand.Rand, n int) *graphSpec {
 
 // build lowers the spec to a sealed Graph.
 func (s *graphSpec) build() *Graph {
-	g := NewGraph(graphTestNames, 0, 0)
+	g := NewGraph(graphTestNames, testStreams, 0, 0)
 	for _, nd := range s.nodes {
 		if nd.kernel {
 			g.AddKernel(nd.stream, nd.name, nd.dur, nd.deps)
@@ -79,7 +92,7 @@ func (s *graphSpec) build() *Graph {
 }
 
 // enqueue is the dynamic reference: every node through the op path.
-func (s *graphSpec) enqueue(st [GraphStreams]*Stream) {
+func (s *graphSpec) enqueue(st [testStreams]*Stream) {
 	if len(s.events) < len(s.nodes) {
 		s.events = make([]*Event, len(s.nodes))
 	}
@@ -89,7 +102,7 @@ func (s *graphSpec) enqueue(st [GraphStreams]*Stream) {
 			st[nd.stream].WaitEvent(events[d])
 		}
 		if nd.kernel {
-			events[i] = st[nd.stream].kernelOp(graphTestNames[nd.name], nd.dur, nil)
+			events[i] = kernel(st[nd.stream], graphTestNames[nd.name], nd.dur)
 		} else {
 			events[i] = st[nd.stream].transferOp(nd.dir, nd.bytes, nil, nil)
 		}
@@ -101,11 +114,11 @@ func (s *graphSpec) enqueue(st [GraphStreams]*Stream) {
 	}
 }
 
-// traceRT is a noisy runtime with three streams whose kernel and transfer
+// traceRT is a noisy runtime with one stream per test slot whose kernel and transfer
 // intervals, and callback times, append to one log.
 type traceRT struct {
 	rt  *Runtime
-	st  [GraphStreams]*Stream
+	st  [testStreams]*Stream
 	log []string
 }
 
@@ -131,7 +144,7 @@ func (tr *traceRT) mark(s *Stream, what string) {
 // prior enqueues work on every stream and leaves pending waits.
 func (tr *traceRT) prior() {
 	tr.st[0].transferOp(machine.H2D, 1<<16, nil, nil)
-	k := tr.st[2].kernelOp("prior", 3e-5, nil)
+	k := kernel(tr.st[2], "prior", 3e-5)
 	tr.st[0].WaitEvent(k)
 	tr.st[1].WaitEvent(tr.st[0].Record())
 	tr.st[1].WaitEvent(k)
@@ -143,12 +156,12 @@ func (tr *traceRT) follow() {
 	for k, s := range tr.st {
 		o := tr.rt.NewStream()
 		o.WaitEvent(s.Record())
-		o.kernelOp("after", 1e-6, nil)
+		kernel(o, "after", 1e-6)
 		o.transferOp(machine.D2H, 4096, nil, nil)
 		tr.mark(o, fmt.Sprintf("record%d", k))
 	}
 	for k, s := range tr.st {
-		s.kernelOp("next", 2e-6, nil)
+		kernel(s, "next", 2e-6)
 		s.transferOp(machine.H2D, 2048, nil, nil)
 		tr.mark(s, fmt.Sprintf("stream%d", k))
 	}
@@ -167,7 +180,7 @@ func TestGraphLaunchMatchesDynamicOps(t *testing.T) {
 				}
 				if graph {
 					var x GraphExec
-					x.Launch(g, tr.st, false)
+					x.Launch(g, tr.st[:], false)
 				} else {
 					spec.enqueue(tr.st)
 				}
@@ -193,14 +206,14 @@ func TestGraphLaunchMatchesDynamicOps(t *testing.T) {
 // shows: one completion releasing two kernels bound for the one compute
 // engine launches them in node order.
 func TestGraphSuccessorOrder(t *testing.T) {
-	g := NewGraph(graphTestNames, 3, 2)
+	g := NewGraph(graphTestNames, 3, 3, 2)
 	root := g.AddKernel(0, 0, 1e-6, nil)
 	g.AddKernel(1, 1, 1e-6, []int32{root})
 	g.AddKernel(2, 2, 1e-6, []int32{root})
 	g.Seal()
 	tr := newTraceRT()
 	var x GraphExec
-	x.Launch(g, tr.st, false)
+	x.Launch(g, tr.st[:], false)
 	if _, err := tr.rt.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +245,7 @@ func TestGraphBlockedCountsAsOutstanding(t *testing.T) {
 		tr := newTraceRT()
 		tr.st[0].WaitEvent(tr.rt.allocEvent()) // never fires
 		if graph {
-			x.Launch(g, tr.st, false)
+			x.Launch(g, tr.st[:], false)
 		} else {
 			spec.enqueue(tr.st)
 		}
@@ -266,7 +279,7 @@ func TestGraphLaunchZeroAlloc(t *testing.T) {
 	tr.rt.Device().Link().SetObserver(nil)
 	var x GraphExec
 	cycle := func() {
-		x.Launch(g, tr.st, false)
+		x.Launch(g, tr.st[:], false)
 		if _, err := tr.rt.Sync(); err != nil {
 			t.Fatal(err)
 		}
@@ -283,14 +296,14 @@ func launchBench(b *testing.B, graph bool) {
 	spec := randomGraph(rand.New(rand.NewSource(9)), 2000)
 	g := spec.build()
 	rt := New(device.New(sim.New(), machine.TestbedI(), 1, false))
-	var st [GraphStreams]*Stream
+	var st [testStreams]*Stream
 	for k := range st {
 		st[k] = rt.NewStream()
 	}
 	var x GraphExec
 	cycle := func() {
 		if graph {
-			x.Launch(g, st, false)
+			x.Launch(g, st[:], false)
 		} else {
 			spec.enqueue(st)
 		}

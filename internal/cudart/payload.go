@@ -1,10 +1,9 @@
 package cudart
 
-// Kernel payloads: the functional arithmetic a kernel launch performs on
-// backed buffers when it completes. Every launch path — GemmAsync,
-// GemvAsync, AxpyAsync and the kernel nodes of a backed graph launch —
-// describes its arithmetic as a Payload, and this file holds the one blas
-// call per kernel kind and the one runner that executes it.
+// Kernel payloads: the functional arithmetic a kernel node of a backed
+// graph launch performs on backed buffers when it completes. This file
+// holds the one blas call per kernel kind and the one runner that executes
+// it.
 
 import (
 	"fmt"
@@ -109,21 +108,9 @@ func runPayload[F blas.Float](p *Payload, pool *parallel.Pool, policy blas.Kerne
 	return fmt.Errorf("unknown payload kind %d", p.Kind)
 }
 
-// kernelCall is a Payload bound to its runtime for the lifetime of one
-// in-flight kernel; it recycles through the runtime's call free list.
-type kernelCall struct {
-	Payload
-	rt  *Runtime
-	run func() // method value of exec, created once per object
-}
-
-// exec runs the call's payload.
-func (c *kernelCall) exec() { c.rt.runPayload(&c.Payload) }
-
 // runPayload runs p under the runtime's worker pool and kernel policy,
-// recording the first error for Sync. It is the one payload runner: the
-// dynamic kernel ops and backed graph launches both call it at kernel
-// completion.
+// recording the first error for Sync. Backed graph launches call it at
+// kernel completion.
 //
 //cocolint:hotpath
 func (rt *Runtime) runPayload(p *Payload) {

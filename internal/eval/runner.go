@@ -442,18 +442,14 @@ func axpyOperands(rt *cudart.Runtime, p Problem) (x, y *operand.Vector, err erro
 	return x, y, nil
 }
 
-// ctxStreams is the number of long-lived streams a bundle's scheduler
-// context owns (h2d, d2h, compute); TruncateStreams rewinds a reused
-// bundle's runtime to exactly these.
-const ctxStreams = 3
-
 // simBundle is one fully wired simulation stack — engine, device, runtime
 // and scheduler context — recycled across a runner's repetitions. Pooling
 // the stack as a unit is what makes a cached-plan repetition allocation-
 // free outside the simulation itself: the engine keeps its heap backing
-// and event free list, the runtime its op/event slabs and kernel-duration
-// memo, the context its streams, bucket slice and replay scratch, and the
-// device its task free list. Per repetition only the noise streams are
+// and event free list, the runtime its op/event slabs, the context its
+// streams, bucket slice and replay scratch, and the device its task free
+// list. Every library, the comparators included, runs on the bundle's
+// context, so the runtime's stream list is the context's streams alone. Per repetition only the noise streams are
 // reseeded and the accounting counters zeroed.
 type simBundle struct {
 	eng *sim.Engine
@@ -464,8 +460,8 @@ type simBundle struct {
 
 // bundle returns a simulation stack ready for one repetition with the
 // given noise seed: a pooled stack is reset in place (engine cleared,
-// device and link reseeded, comparator-created streams shed, tile pool
-// emptied), a fresh one is wired from scratch. Either way the stack is
+// device and link reseeded, tile pool emptied), a fresh one is wired from
+// scratch. Either way the stack is
 // indistinguishable from a freshly constructed one — the reuse property
 // tests in sim, and the campaign identity checks in cocobench, pin it.
 func (r *Runner) bundle(seed int64) *simBundle {
@@ -480,7 +476,6 @@ func (r *Runner) bundle(seed int64) *simBundle {
 	if b != nil {
 		b.eng.Reset()
 		b.dev.Reset(seed)
-		b.rt.TruncateStreams(ctxStreams)
 		b.ctx.Reset()
 		return b
 	}
@@ -554,7 +549,7 @@ func (r *Runner) runOnce(lib Lib, p Problem, T int, seed int64) (res operand.Res
 			pend, err := ctx.AxpyEnqueueWith(pl, opts)
 			return r.finishTimed(&pc, rt, pend, err)
 		case LibUnified:
-			res, err := unified.Daxpy(rt, p.N, 1.1, x, y, false)
+			res, err := unified.Daxpy(bd.ctx, p.N, 1.1, x, y)
 			pc.lap(phaseOther)
 			return res, err
 		default:
@@ -657,16 +652,14 @@ func (r *Runner) runOnce(lib Lib, p Problem, T int, seed int64) (res operand.Res
 		pend, err := ctx.GemmNoReuseEnqueueWith(pl, opts)
 		return r.finishTimed(&pc, rt, pend, err)
 	case LibCuBLASXt:
-		h := cublasxt.New(rt, 0, false)
-		res, err := h.Gemm(cublasxt.GemmOpts{
+		res, err := cublasxt.New(bd.ctx, 0).Gemm(cublasxt.GemmOpts{
 			Dtype: p.Dtype, M: p.M, N: p.N, K: p.K,
 			Alpha: 1, Beta: 1, A: a, B: b, C: c, T: T,
 		})
 		pc.lap(phaseOther)
 		return res, err
 	case LibBLASX:
-		l := blasx.New(rt, false)
-		res, err := l.Gemm(blasx.GemmOpts{
+		res, err := blasx.New(bd.ctx).Gemm(blasx.GemmOpts{
 			Dtype: p.Dtype, M: p.M, N: p.N, K: p.K,
 			Alpha: 1, Beta: 1, A: a, B: b, C: c,
 		})

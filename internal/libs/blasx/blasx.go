@@ -3,7 +3,7 @@
 //
 //   - a runtime tile-management engine with a device-resident tile cache,
 //     so input tiles cross the link once (like CoCoPeLia, unlike
-//     cuBLASXt) — here provided by the shared tile scheduler;
+//     cuBLASXt) — here provided by the shared full-reuse planner;
 //   - a STATIC tile size, fixed at compile time to T = 2048 (the paper
 //     uses this value for its BLASX baseline), clamped to the problem;
 //   - a small per-task dispatch overhead for the runtime tile-map
@@ -15,9 +15,9 @@
 package blasx
 
 import (
-	"cocopelia/internal/cudart"
 	"cocopelia/internal/kernelmodel"
 	"cocopelia/internal/operand"
+	"cocopelia/internal/plan"
 	"cocopelia/internal/sched"
 )
 
@@ -27,25 +27,15 @@ const StaticT = 2048
 // DispatchOverheadS models the runtime tile-management cost per sub-kernel.
 const DispatchOverheadS = 4e-6
 
-// Library is a BLASX-style handle. It reuses device buffers and streams
-// across calls.
+// Library is a BLASX-style handle on a scheduler context, whose streams
+// and tile pool it reuses across calls.
 type Library struct {
 	ctx *sched.Context
 }
 
-// New creates a BLASX-style library on the runtime.
-func New(rt *cudart.Runtime, backed bool) *Library {
-	ctx := sched.NewContext(rt, backed)
-	ctx.SetDispatchOverhead(DispatchOverheadS)
-	ctx.SetBlockingWriteback(true)
-	return &Library{ctx: ctx}
-}
-
-// Runtime returns the underlying runtime.
-func (l *Library) Runtime() *cudart.Runtime { return l.ctx.Runtime() }
-
-// ReleaseAll frees the pooled tile buffers.
-func (l *Library) ReleaseAll() error { return l.ctx.ReleaseAll() }
+// New creates a BLASX-style library on ctx; ctx's backing selects
+// functional runs.
+func New(ctx *sched.Context) *Library { return &Library{ctx: ctx} }
 
 // TileFor returns the static tile size clamped to the problem dimensions.
 func TileFor(m, n, k int) int {
@@ -67,13 +57,22 @@ type GemmOpts struct {
 	A, B, C     *operand.Matrix
 }
 
-// Gemm executes C = alpha*A*B + beta*C with the static tile size.
+// Gemm executes C = alpha*A*B + beta*C with the static tile size: the
+// full-reuse plan with a dispatch kernel before every sub-kernel and
+// compute-blocking write-backs.
 func (l *Library) Gemm(opts GemmOpts) (operand.Result, error) {
-	return l.ctx.Gemm(sched.GemmOpts{
+	so := sched.GemmOpts{
 		Dtype: opts.Dtype,
 		M:     opts.M, N: opts.N, K: opts.K,
 		Alpha: opts.Alpha, Beta: opts.Beta,
 		A: opts.A, B: opts.B, C: opts.C,
 		T: TileFor(opts.M, opts.N, opts.K),
-	})
+	}
+	spec, err := l.ctx.GemmSpec(so)
+	if err != nil {
+		return operand.Result{}, err
+	}
+	spec.DispatchOverheadS = DispatchOverheadS
+	spec.BlockingWriteback = true
+	return l.ctx.RunPlan(plan.BuildGemm(spec), sched.GemmArgs(so))
 }

@@ -18,7 +18,7 @@ import (
 func newLib(backed bool) *Library {
 	eng := sim.New()
 	dev := device.New(eng, machine.TestbedI(), 1, true)
-	return New(cudart.New(dev), backed)
+	return New(sched.NewContext(cudart.New(dev), backed))
 }
 
 func TestTileFor(t *testing.T) {

@@ -14,97 +14,37 @@
 //
 // Data-location awareness: operands already resident on the device are
 // used in place (cuBLASXt accepts device pointers too).
+//
+// A call validates its operands, builds the schedule as a plan
+// (plan.BuildCuBLASXt, one stream slot per worker) and replays it on the
+// handle's scheduler context, whose pool supplies the workers' staging.
 package cublasxt
 
 import (
-	"errors"
-	"fmt"
-
-	"cocopelia/internal/blas"
-	"cocopelia/internal/cudart"
 	"cocopelia/internal/kernelmodel"
-	"cocopelia/internal/model"
 	"cocopelia/internal/operand"
+	"cocopelia/internal/plan"
+	"cocopelia/internal/sched"
 )
 
 // DefaultStreams is the number of worker streams (cuBLASXt uses a small
 // fixed pool per GPU).
 const DefaultStreams = 4
 
-// slotRole identifies a worker's staging slot.
-type slotRole int
-
-const (
-	slotA slotRole = iota
-	slotB
-	slotC
-)
-
-// worker is one pipeline stream with its bounded staging buffers.
-type worker struct {
-	stream *cudart.Stream
-	slots  map[slotRole]*cudart.DevBuffer
-}
-
-// Handle is the cublasXt-like context: worker streams and their staging
-// buffers, reused across calls.
+// Handle is the cublasXt-like context: a worker count and the scheduler
+// context whose streams and staging pool the workers run on.
 type Handle struct {
-	rt      *cudart.Runtime
-	workers []*worker
-	backed  bool
+	ctx     *sched.Context
+	workers int
 }
 
 // New creates a handle with the given number of worker streams (0 selects
-// DefaultStreams). backed selects functional runs.
-func New(rt *cudart.Runtime, streams int, backed bool) *Handle {
+// DefaultStreams) on ctx; ctx's backing selects functional runs.
+func New(ctx *sched.Context, streams int) *Handle {
 	if streams <= 0 {
 		streams = DefaultStreams
 	}
-	h := &Handle{rt: rt, backed: backed}
-	for i := 0; i < streams; i++ {
-		h.workers = append(h.workers, &worker{
-			stream: rt.NewStream(),
-			slots:  map[slotRole]*cudart.DevBuffer{},
-		})
-	}
-	return h
-}
-
-// Runtime returns the underlying runtime.
-func (h *Handle) Runtime() *cudart.Runtime { return h.rt }
-
-// slot returns the worker's staging buffer for the role, (re)allocating
-// when the needed capacity grows. In-stream ordering makes reuse safe: the
-// next fetch into a slot is enqueued after the kernels that read it.
-func (h *Handle) slot(w *worker, role slotRole, dt kernelmodel.Dtype, elems int64) (*cudart.DevBuffer, error) {
-	if b := w.slots[role]; b != nil {
-		if b.Dtype() == dt && b.Elems() >= elems {
-			return b, nil
-		}
-		if err := h.rt.Free(b); err != nil {
-			return nil, err
-		}
-		delete(w.slots, role)
-	}
-	b, err := h.rt.Malloc(dt, elems, h.backed)
-	if err != nil {
-		return nil, err
-	}
-	w.slots[role] = b
-	return b, nil
-}
-
-// ReleaseAll frees all staging buffers.
-func (h *Handle) ReleaseAll() error {
-	for _, w := range h.workers {
-		for role, b := range w.slots {
-			if err := h.rt.Free(b); err != nil {
-				return err
-			}
-			delete(w.slots, role)
-		}
-	}
-	return nil
+	return &Handle{ctx: ctx, workers: streams}
 }
 
 // GemmOpts parameterizes a cublasXt-like gemm call.
@@ -119,166 +59,17 @@ type GemmOpts struct {
 
 // Gemm executes C = alpha*A*B + beta*C with cuBLASXt-style tiling: output
 // tiles round-robin across worker streams, inputs re-fetched per
-// sub-kernel.
+// sub-kernel. For very large tiles fewer workers participate, so the
+// staging always fits the device memory free at the call (real cuBLASXt
+// likewise bounds its workspace).
 func (h *Handle) Gemm(opts GemmOpts) (operand.Result, error) {
-	if opts.M <= 0 || opts.N <= 0 || opts.K <= 0 {
-		return operand.Result{}, fmt.Errorf("cublasxt: non-positive dims %dx%dx%d", opts.M, opts.N, opts.K)
-	}
-	if opts.T <= 0 {
-		return operand.Result{}, fmt.Errorf("cublasxt: non-positive block dim %d", opts.T)
-	}
-	dt := opts.Dtype
-	if err := opts.A.Validate("A", dt, h.backed); err != nil {
-		return operand.Result{}, err
-	}
-	if err := opts.B.Validate("B", dt, h.backed); err != nil {
-		return operand.Result{}, err
-	}
-	if err := opts.C.Validate("C", dt, h.backed); err != nil {
-		return operand.Result{}, err
-	}
-	if opts.A.Rows != opts.M || opts.A.Cols != opts.K ||
-		opts.B.Rows != opts.K || opts.B.Cols != opts.N ||
-		opts.C.Rows != opts.M || opts.C.Cols != opts.N {
-		return operand.Result{}, errors.New("cublasxt: operand shapes inconsistent with m, n, k")
-	}
-
-	T := opts.T
-	mt := ceil(opts.M, T)
-	nt := ceil(opts.N, T)
-	kt := ceil(opts.K, T)
-	res := operand.Result{T: T}
-	start := h.rt.Now()
-
-	// Pre-size every staging slot to a full TxT tile before enqueuing any
-	// work: a mid-run reallocation would free a buffer still referenced by
-	// in-flight asynchronous operations. For very large tiles, fewer
-	// workers participate so the staging always fits device memory (real
-	// cuBLASXt likewise bounds its workspace).
-	var groupBytes int64
-	if opts.A.Loc == model.OnHost {
-		groupBytes += int64(min(T, opts.M)) * int64(min(T, opts.K)) * dt.Size()
-	}
-	if opts.B.Loc == model.OnHost {
-		groupBytes += int64(min(T, opts.K)) * int64(min(T, opts.N)) * dt.Size()
-	}
-	if opts.C.Loc == model.OnHost {
-		groupBytes += int64(min(T, opts.M)) * int64(min(T, opts.N)) * dt.Size()
-	}
-	workers := h.workers
-	if groupBytes > 0 {
-		free := h.rt.Device().Testbed().GPU.MemBytes - h.rt.Device().MemUsed()
-		if byMem := int(free / (groupBytes + groupBytes/8)); byMem < len(workers) {
-			if byMem < 1 {
-				byMem = 1
-			}
-			// Release staging held by the excluded workers from earlier
-			// calls so the remaining ones can grow.
-			for _, w := range h.workers[byMem:] {
-				for role, b := range w.slots {
-					if err := h.rt.Free(b); err != nil {
-						return operand.Result{}, err
-					}
-					delete(w.slots, role)
-				}
-			}
-			workers = h.workers[:byMem]
-		}
-	}
-	for _, w := range workers {
-		if opts.A.Loc == model.OnHost {
-			if _, err := h.slot(w, slotA, dt, int64(min(T, opts.M))*int64(min(T, opts.K))); err != nil {
-				return operand.Result{}, err
-			}
-		}
-		if opts.B.Loc == model.OnHost {
-			if _, err := h.slot(w, slotB, dt, int64(min(T, opts.K))*int64(min(T, opts.N))); err != nil {
-				return operand.Result{}, err
-			}
-		}
-		if opts.C.Loc == model.OnHost {
-			if _, err := h.slot(w, slotC, dt, int64(min(T, opts.M))*int64(min(T, opts.N))); err != nil {
-				return operand.Result{}, err
-			}
-		}
-	}
-
-	// stageIn copies a host tile into the worker's staging slot (in-stream
-	// ordering provides the reuse dependency), or returns an in-place view
-	// for device-resident operands.
-	stageIn := func(w *worker, m *operand.Matrix, role slotRole, row, col, rows, cols int, fetch bool) (*cudart.DevBuffer, int64, int, error) {
-		if m.Loc == model.OnDevice {
-			return m.Dev, int64(row) + int64(col)*int64(m.DevLd), m.DevLd, nil
-		}
-		buf, err := h.slot(w, role, dt, int64(rows)*int64(cols))
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if fetch {
-			h64, h32 := m.HostSlices(row, col)
-			if _, err := w.stream.SetMatrixAsync(rows, cols, h64, h32, m.HostLd, buf, 0, rows); err != nil {
-				return nil, 0, 0, err
-			}
-			res.BytesH2D += int64(rows) * int64(cols) * dt.Size()
-		}
-		return buf, 0, rows, nil
-	}
-
-	tileIdx := 0
-	for tj := 0; tj < nt; tj++ {
-		for ti := 0; ti < mt; ti++ {
-			w := workers[tileIdx%len(workers)]
-			tileIdx++
-			rows := min(T, opts.M-ti*T)
-			cols := min(T, opts.N-tj*T)
-
-			fetchC := opts.Beta != 0
-			cBuf, cOff, cLd, err := stageIn(w, opts.C, slotC, ti*T, tj*T, rows, cols, fetchC)
-			if err != nil {
-				return operand.Result{}, err
-			}
-			for tk := 0; tk < kt; tk++ {
-				inner := min(T, opts.K-tk*T)
-				// Inputs are re-fetched for every sub-kernel: no reuse.
-				aBuf, aOff, aLd, err := stageIn(w, opts.A, slotA, ti*T, tk*T, rows, inner, true)
-				if err != nil {
-					return operand.Result{}, err
-				}
-				bBuf, bOff, bLd, err := stageIn(w, opts.B, slotB, tk*T, tj*T, inner, cols, true)
-				if err != nil {
-					return operand.Result{}, err
-				}
-				beta := 1.0
-				if tk == 0 {
-					beta = opts.Beta
-					if opts.C.Loc == model.OnHost && !fetchC {
-						beta = 0
-					}
-				}
-				if _, err := w.stream.GemmAsync(blas.NoTrans, blas.NoTrans,
-					rows, cols, inner, opts.Alpha,
-					aBuf, aOff, aLd, bBuf, bOff, bLd,
-					beta, cBuf, cOff, cLd); err != nil {
-					return operand.Result{}, err
-				}
-				res.Subkernels++
-			}
-			if opts.C.Loc == model.OnHost {
-				h64, h32 := opts.C.HostSlices(ti*T, tj*T)
-				if _, err := w.stream.GetMatrixAsync(rows, cols, cBuf, cOff, cLd, h64, h32, opts.C.HostLd); err != nil {
-					return operand.Result{}, err
-				}
-				res.BytesD2H += int64(rows) * int64(cols) * dt.Size()
-			}
-		}
-	}
-
-	end, err := h.rt.Sync()
+	so := sched.GemmOpts{Dtype: opts.Dtype, M: opts.M, N: opts.N, K: opts.K,
+		Alpha: opts.Alpha, Beta: opts.Beta, A: opts.A, B: opts.B, C: opts.C, T: opts.T}
+	spec, err := h.ctx.GemmSpec(so)
 	if err != nil {
 		return operand.Result{}, err
 	}
-	res.Seconds = end - start
-	return res, nil
+	dev := h.ctx.Runtime().Device()
+	free := dev.Testbed().GPU.MemBytes - dev.MemUsed()
+	return h.ctx.RunPlan(plan.BuildCuBLASXt(spec, h.workers, free), sched.GemmArgs(so))
 }
-
-func ceil(a, b int) int { return (a + b - 1) / b }

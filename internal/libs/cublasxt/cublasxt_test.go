@@ -12,13 +12,14 @@ import (
 	"cocopelia/internal/machine"
 	"cocopelia/internal/model"
 	"cocopelia/internal/operand"
+	"cocopelia/internal/sched"
 	"cocopelia/internal/sim"
 )
 
 func newHandle(backed bool, streams int) *Handle {
 	eng := sim.New()
 	dev := device.New(eng, machine.TestbedI(), 1, true)
-	return New(cudart.New(dev), streams, backed)
+	return New(sched.NewContext(cudart.New(dev), backed), streams)
 }
 
 func randMat(rng *rand.Rand, rows, cols int) []float64 {
@@ -45,15 +46,15 @@ func TestGemmFunctionalAllCombos(t *testing.T) {
 			if loc == model.OnHost {
 				return operand.HostMatrix(rows, cols, host)
 			}
-			buf, err := h.rt.Malloc(kernelmodel.F64, int64(rows*cols), true)
+			buf, err := h.ctx.Runtime().Malloc(kernelmodel.F64, int64(rows*cols), true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := h.rt.NewStream()
+			s := h.ctx.Runtime().NewStream()
 			if _, err := s.MemcpyH2DAsync(buf, 0, host, nil, int64(rows*cols)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := h.rt.Sync(); err != nil {
+			if _, err := h.ctx.Runtime().Sync(); err != nil {
 				t.Fatal(err)
 			}
 			return &operand.Matrix{Rows: rows, Cols: cols, Loc: model.OnDevice, Dev: buf, DevLd: rows}
@@ -70,11 +71,11 @@ func TestGemmFunctionalAllCombos(t *testing.T) {
 		got := hostC
 		if combo[2] == model.OnDevice {
 			got = make([]float64, m*n)
-			s := h.rt.NewStream()
+			s := h.ctx.Runtime().NewStream()
 			if _, err := s.MemcpyD2HAsync(got, nil, C.Dev, 0, int64(m*n)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := h.rt.Sync(); err != nil {
+			if _, err := h.ctx.Runtime().Sync(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -133,13 +134,13 @@ func TestStagingMemoryBounded(t *testing.T) {
 	}
 	slotBytes := int64(T*T) * 8
 	maxStaging := slotBytes * 3 * 4 // 3 slots x 4 workers
-	if peak := h.rt.Device().MemPeak(); peak > maxStaging {
+	if peak := h.ctx.Runtime().Device().MemPeak(); peak > maxStaging {
 		t.Errorf("staging peak %d exceeds bound %d", peak, maxStaging)
 	}
-	if err := h.ReleaseAll(); err != nil {
+	if err := h.ctx.ReleaseAll(); err != nil {
 		t.Fatal(err)
 	}
-	if used := h.rt.Device().MemUsed(); used != 0 {
+	if used := h.ctx.Runtime().Device().MemUsed(); used != 0 {
 		t.Errorf("ReleaseAll left %d bytes", used)
 	}
 }
@@ -184,8 +185,8 @@ func TestValidation(t *testing.T) {
 
 func TestDefaultStreams(t *testing.T) {
 	h := newHandle(false, 0)
-	if len(h.workers) != DefaultStreams {
-		t.Errorf("workers = %d, want %d", len(h.workers), DefaultStreams)
+	if h.workers != DefaultStreams {
+		t.Errorf("workers = %d, want %d", h.workers, DefaultStreams)
 	}
 }
 
@@ -209,7 +210,7 @@ func TestHugeTilesClampWorkers(t *testing.T) {
 	if res.Subkernels != 8 { // ceil(16384/12032)^3 = 2^3
 		t.Errorf("subkernels = %d, want 8", res.Subkernels)
 	}
-	dev := h.rt.Device()
+	dev := h.ctx.Runtime().Device()
 	if dev.MemPeak() > dev.Testbed().GPU.MemBytes {
 		t.Errorf("peak %d exceeds device memory", dev.MemPeak())
 	}

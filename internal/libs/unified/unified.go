@@ -9,28 +9,33 @@
 // touches them — after the computation — so the d2h traffic does not
 // overlap with compute. The small prefetch granularity also pays the
 // per-transfer latency far more often than an explicitly tiled scheduler.
+//
+// A call builds the schedule as a plan (plan.BuildUnifiedAxpy) and replays
+// it on a scheduler context, whose pool supplies the managed mirrors of
+// host-resident operands one prefetch chunk at a time.
 package unified
 
 import (
 	"errors"
 	"fmt"
 
-	"cocopelia/internal/cudart"
-	"cocopelia/internal/kernelmodel"
-	"cocopelia/internal/model"
 	"cocopelia/internal/operand"
+	"cocopelia/internal/plan"
+	"cocopelia/internal/sched"
 )
 
 // PrefetchElems is the prefetch granularity in float64 elements (2 MiB,
 // the unified-memory migration chunk commonly used with prefetch hints).
 const PrefetchElems = (2 << 20) / 8
 
-// Daxpy executes y += alpha*x through the unified-memory path and reports
-// the run. Operands already resident on the device need no migration.
-func Daxpy(rt *cudart.Runtime, n int, alpha float64, x, y *operand.Vector, backed bool) (operand.Result, error) {
+// Daxpy executes y += alpha*x through the unified-memory path on ctx and
+// reports the run; ctx's backing selects functional runs. Operands already
+// resident on the device need no migration.
+func Daxpy(ctx *sched.Context, n int, alpha float64, x, y *operand.Vector) (operand.Result, error) {
 	if n <= 0 {
 		return operand.Result{}, fmt.Errorf("unified: non-positive length %d", n)
 	}
+	backed := ctx.Backed()
 	if err := x.Validate("x", backed); err != nil {
 		return operand.Result{}, err
 	}
@@ -40,97 +45,6 @@ func Daxpy(rt *cudart.Runtime, n int, alpha float64, x, y *operand.Vector, backe
 	if x.N != n || y.N != n {
 		return operand.Result{}, errors.New("unified: vector lengths inconsistent with n")
 	}
-
-	res := operand.Result{T: PrefetchElems}
-	start := rt.Now()
-	prefetch := rt.NewStream()
-	compute := rt.NewStream()
-	writeback := rt.NewStream()
-
-	// Managed mirrors of host-resident operands.
-	var xBuf, yBuf *cudart.DevBuffer
-	var err error
-	if x.Loc == model.OnDevice {
-		xBuf = x.Dev
-	} else if xBuf, err = rt.Malloc(kernelmodel.F64, int64(n), backed); err != nil {
-		return operand.Result{}, err
-	}
-	if y.Loc == model.OnDevice {
-		yBuf = y.Dev
-	} else if yBuf, err = rt.Malloc(kernelmodel.F64, int64(n), backed); err != nil {
-		return operand.Result{}, err
-	}
-
-	chunks := (n + PrefetchElems - 1) / PrefetchElems
-	for ci := 0; ci < chunks; ci++ {
-		off := ci * PrefetchElems
-		cn := min(PrefetchElems, n-off)
-
-		ready := cudart.DoneEvent()
-		// Prefetch the chunk's pages of every host-resident operand.
-		if x.Loc == model.OnHost {
-			var host []float64
-			if x.HostF64 != nil {
-				host = x.HostF64[off:]
-			}
-			if _, err := prefetch.MemcpyH2DAsync(xBuf, int64(off), host, nil, int64(cn)); err != nil {
-				return operand.Result{}, err
-			}
-			res.BytesH2D += int64(cn) * 8
-			ready = prefetch.Record()
-		}
-		if y.Loc == model.OnHost {
-			var host []float64
-			if y.HostF64 != nil {
-				host = y.HostF64[off:]
-			}
-			if _, err := prefetch.MemcpyH2DAsync(yBuf, int64(off), host, nil, int64(cn)); err != nil {
-				return operand.Result{}, err
-			}
-			res.BytesH2D += int64(cn) * 8
-			ready = prefetch.Record()
-		}
-		compute.WaitEvent(ready)
-		if _, err := compute.AxpyAsync(cn, alpha, xBuf, int64(off), yBuf, int64(off)); err != nil {
-			return operand.Result{}, err
-		}
-		res.Subkernels++
-	}
-
-	// On-demand migration back: the host touches y only after the whole
-	// kernel sequence, so the d2h chunks all queue behind the final
-	// kernel — no overlap with compute.
-	if y.Loc == model.OnHost {
-		writeback.WaitEvent(compute.Record())
-		for ci := 0; ci < chunks; ci++ {
-			off := ci * PrefetchElems
-			cn := min(PrefetchElems, n-off)
-			var host []float64
-			if y.HostF64 != nil {
-				host = y.HostF64[off:]
-			}
-			if _, err := writeback.MemcpyD2HAsync(host, nil, yBuf, int64(off), int64(cn)); err != nil {
-				return operand.Result{}, err
-			}
-			res.BytesD2H += int64(cn) * 8
-		}
-	}
-
-	end, err := rt.Sync()
-	if err != nil {
-		return operand.Result{}, err
-	}
-	// Managed mirrors are transient per call.
-	if x.Loc == model.OnHost {
-		if err := rt.Free(xBuf); err != nil {
-			return operand.Result{}, err
-		}
-	}
-	if y.Loc == model.OnHost {
-		if err := rt.Free(yBuf); err != nil {
-			return operand.Result{}, err
-		}
-	}
-	res.Seconds = end - start
-	return res, nil
+	p := plan.BuildUnifiedAxpy(plan.AxpySpec{N: n, Alpha: alpha, LocX: x.Loc, LocY: y.Loc, T: PrefetchElems})
+	return ctx.RunPlan(p, []plan.Arg{{Vec: x}, {Vec: y}})
 }

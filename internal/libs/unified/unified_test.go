@@ -14,13 +14,13 @@ import (
 	"cocopelia/internal/sim"
 )
 
-func newRT() *cudart.Runtime {
+func newCtx(backed bool) *sched.Context {
 	eng := sim.New()
-	return cudart.New(device.New(eng, machine.TestbedII(), 1, true))
+	return sched.NewContext(cudart.New(device.New(eng, machine.TestbedII(), 1, true)), backed)
 }
 
 func TestDaxpyFunctional(t *testing.T) {
-	rt := newRT()
+	ctx := newCtx(true)
 	n := 3 * PrefetchElems / 2 // exercises a ragged final chunk
 	x := make([]float64, n)
 	y := make([]float64, n)
@@ -28,7 +28,7 @@ func TestDaxpyFunctional(t *testing.T) {
 		x[i] = float64(i % 97)
 		y[i] = 1
 	}
-	res, err := Daxpy(rt, n, 3, operand.HostVector(n, x), operand.HostVector(n, y), true)
+	res, err := Daxpy(ctx, n, 3, operand.HostVector(n, x), operand.HostVector(n, y))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,22 +47,26 @@ func TestDaxpyFunctional(t *testing.T) {
 	if want := int64(n) * 8; res.BytesD2H != want {
 		t.Errorf("d2h = %d, want %d", res.BytesD2H, want)
 	}
-	if rt.Device().MemUsed() != 0 {
+	// The managed mirrors are pooled staging: ReleaseAll returns them.
+	if err := ctx.ReleaseAll(); err != nil {
+		t.Fatal(err)
+	}
+	if ctx.Runtime().Device().MemUsed() != 0 {
 		t.Error("managed mirrors not freed")
 	}
 }
 
 func TestDaxpyDeviceResidentNoTraffic(t *testing.T) {
-	rt := newRT()
+	ctx := newCtx(false)
 	n := PrefetchElems
 	mk := func() *operand.Vector {
-		buf, err := rt.Malloc(kernelmodel.F64, int64(n), false)
+		buf, err := ctx.Runtime().Malloc(kernelmodel.F64, int64(n), false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return &operand.Vector{N: n, Loc: model.OnDevice, Dev: buf}
 	}
-	res, err := Daxpy(rt, n, 2, mk(), mk(), false)
+	res, err := Daxpy(ctx, n, 2, mk(), mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,17 +82,14 @@ func TestDaxpySlowerThanCoCoPeLia(t *testing.T) {
 	// per-transfer latencies.
 	n := 64 << 20
 	runUM := func() float64 {
-		rt := newRT()
-		res, err := Daxpy(rt, n, 2, operand.HostVector(n, nil), operand.HostVector(n, nil), false)
+		res, err := Daxpy(newCtx(false), n, 2, operand.HostVector(n, nil), operand.HostVector(n, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Seconds
 	}
 	runCoco := func() float64 {
-		rt := newRT()
-		ctx := sched.NewContext(rt, false)
-		res, err := ctx.Axpy(sched.AxpyOpts{
+		res, err := newCtx(false).Axpy(sched.AxpyOpts{
 			N: n, Alpha: 2,
 			X: operand.HostVector(n, nil),
 			Y: operand.HostVector(n, nil),
@@ -106,16 +107,16 @@ func TestDaxpySlowerThanCoCoPeLia(t *testing.T) {
 }
 
 func TestDaxpyValidation(t *testing.T) {
-	rt := newRT()
+	ctx := newCtx(false)
 	v := operand.HostVector(100, nil)
-	if _, err := Daxpy(rt, 0, 1, v, v, false); err == nil {
+	if _, err := Daxpy(ctx, 0, 1, v, v); err == nil {
 		t.Error("n=0 should error")
 	}
-	if _, err := Daxpy(rt, 100, 1, nil, v, false); err == nil {
+	if _, err := Daxpy(ctx, 100, 1, nil, v); err == nil {
 		t.Error("nil x should error")
 	}
 	w := operand.HostVector(50, nil)
-	if _, err := Daxpy(rt, 100, 1, v, w, false); err == nil {
+	if _, err := Daxpy(ctx, 100, 1, v, w); err == nil {
 		t.Error("length mismatch should error")
 	}
 }

@@ -15,11 +15,13 @@ type Allocator interface {
 	Release(b *cudart.DevBuffer)
 }
 
-// Target is the execution surface a plan replays onto: the three operation
-// streams and the staging allocator of one scheduler context.
+// Target is the execution surface a plan replays onto: the streams and the
+// staging allocator of one scheduler context. Streams holds one stream per
+// stream slot in slot order — h2d, d2h and compute, then any further slots
+// the replayed tapes use (see Tape.Streams).
 type Target struct {
-	H2D, D2H, Comp *cudart.Stream
-	Alloc          Allocator
+	Streams []*cudart.Stream
+	Alloc   Allocator
 }
 
 // Arg binds one plan operand at replay time: exactly one of Mat/Vec is set,
@@ -83,6 +85,10 @@ func (e *Executor) Replay(t *Tape, tgt Target, args []Arg) ([]*cudart.DevBuffer,
 		//lint:ignore hotpath error path: a malformed binding is rejected before anything is enqueued
 		return nil, fmt.Errorf("plan: %s plan wants %d operands, got %d", p.Routine, p.NumArgs(), len(args))
 	}
+	if len(tgt.Streams) < t.Streams() {
+		//lint:ignore hotpath error path: a target short of streams is rejected before anything is enqueued
+		return nil, fmt.Errorf("plan: %s tape needs %d streams, target has %d", p.Routine, t.Streams(), len(tgt.Streams))
+	}
 	//lint:ignore hotpath grows the launch-state list only when a replay starts while every earlier one is still in flight
 	l := e.idle()
 	if cap(l.slots) < len(p.Slots) {
@@ -111,9 +117,7 @@ func (e *Executor) Replay(t *Tape, tgt Target, args []Arg) ([]*cudart.DevBuffer,
 		//lint:ignore hotpath backed replays only: binding copies each op's window or payload into the launch state's per-node scratch
 		l.bind(t, args)
 	}
-	var s [cudart.GraphStreams]*cudart.Stream
-	s[sH2D], s[sD2H], s[sComp] = tgt.H2D, tgt.D2H, tgt.Comp
-	l.x.Launch(t.graph, s, args != nil)
+	l.x.Launch(t.graph, tgt.Streams, args != nil)
 	return l.pooled, nil
 }
 

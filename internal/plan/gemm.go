@@ -215,28 +215,8 @@ func BuildGemmNoReuse(spec GemmSpec, freeBytes int64) *Plan {
 	}
 	g := NewGraph(p)
 
-	tileA := int64(min(T, spec.M)) * int64(min(T, spec.K))
-	tileB := int64(min(T, spec.K)) * int64(min(T, spec.N))
-	tileC := int64(min(T, spec.M)) * int64(min(T, spec.N))
-	var groupBytes int64
-	if spec.LocA == model.OnHost {
-		groupBytes += tileA * dt.Size()
-	}
-	if spec.LocB == model.OnHost {
-		groupBytes += tileB * dt.Size()
-	}
-	if spec.LocC == model.OnHost {
-		groupBytes += tileC * dt.Size()
-	}
-	nSlots := MaxNoReuseSlots
-	if groupBytes > 0 {
-		if byMem := int(freeBytes / (groupBytes + groupBytes/8)); byMem < nSlots {
-			nSlots = byMem
-		}
-		if nSlots < 2 {
-			nSlots = 2
-		}
-	}
+	tileA, tileB, tileC, groupBytes := stagingGroup(spec)
+	nSlots := max(groupsFitting(freeBytes, groupBytes, MaxNoReuseSlots), 2)
 
 	// Pre-size the arenas (see BuildGemm): sk sub-kernels each emit up to
 	// three fetches, the kernel and a write-back, with a handful of
@@ -369,6 +349,145 @@ func BuildGemmNoReuse(spec GemmSpec, freeBytes int64) *Plan {
 		g.TailH2D(id)
 	}
 	return g.Finish()
+}
+
+// BuildCuBLASXt emits the schedule of the cuBLASXt-style comparator
+// (internal/libs/cublasxt). Output tiles go round-robin, tj outer and ti
+// inner, to up to workers in-order worker streams, and every op of a
+// worker runs on the worker's stream slot, so stream order alone orders
+// the reuse of its staging. Each worker owns one full-tile staging slot
+// per host-resident operand; it re-fetches its A and B tiles for every
+// sub-kernel (no reuse), fetches its C tile only when beta != 0 and
+// writes each output tile back once. Device-resident operands are used in
+// place. freeBytes is the device memory free at plan time: when the
+// workers' staging would not fit, fewer workers (at least one) run.
+// Transposes are not supported; spec's must be NoTrans.
+func BuildCuBLASXt(spec GemmSpec, workers int, freeBytes int64) *Plan {
+	T := spec.T
+	mt := ceil(spec.M, T)
+	nt := ceil(spec.N, T)
+	kt := ceil(spec.K, T)
+	dt := spec.Dtype
+
+	p := &Plan{
+		Routine: "gemm-cublasxt", Dtype: dt,
+		TransA: blas.NoTrans, TransB: blas.NoTrans,
+		M: spec.M, N: spec.N, K: spec.K, T: T,
+		Alpha: spec.Alpha, Beta: spec.Beta,
+		Locs: []model.Loc{spec.LocA, spec.LocB, spec.LocC},
+	}
+	g := NewGraph(p)
+	host := func(arg int8) bool { return p.Locs[arg] == model.OnHost }
+
+	tileA, tileB, tileC, groupBytes := stagingGroup(spec)
+	workers = max(groupsFitting(freeBytes, groupBytes, workers), 1)
+	fetchC := spec.Beta != 0
+
+	// Pre-size the arenas (see BuildGemm): each worker allocates a slot
+	// per host operand; each output tile emits kt kernels, each after its
+	// A and B fetches, plus its C fetch and write-back. There are no
+	// dependency edges.
+	slots, perK, perTile := 0, 1, 0
+	if host(0) {
+		slots, perK = slots+workers, perK+1
+	}
+	if host(1) {
+		slots, perK = slots+workers, perK+1
+	}
+	if host(2) {
+		slots, perTile = slots+workers, perTile+1
+		if fetchC {
+			perTile++
+		}
+	}
+	g.Grow(slots, slots+mt*nt*(kt*perK+perTile), 0)
+
+	// Each worker's staging slots, acquired worker by worker (-1: the
+	// operand is device-resident).
+	type worker struct{ a, b, c int32 }
+	ws := make([]worker, workers)
+	slot := func(arg int8, elems int64) int32 {
+		if !host(arg) {
+			return -1
+		}
+		s := g.Slot(dt, elems)
+		g.Alloc(s)
+		return s
+	}
+	for i := range ws {
+		ws[i] = worker{a: slot(0, tileA), b: slot(1, tileB), c: slot(2, tileC)}
+	}
+
+	tile := 0
+	for tj := 0; tj < nt; tj++ {
+		for ti := 0; ti < mt; ti++ {
+			w, stream := ws[tile%workers], uint8(tile%workers)
+			tile++
+			rows := int32(min(T, spec.M-ti*T))
+			cols := int32(min(T, spec.N-tj*T))
+			row, col := int32(ti*T), int32(tj*T)
+
+			cRef := ArgRef(2, row, col)
+			if w.c >= 0 {
+				cRef = SlotRef(w.c, rows)
+				if fetchC {
+					g.SetStream(g.Fetch(2, row, col, rows, cols, w.c), stream)
+				}
+			}
+			for tk := 0; tk < kt; tk++ {
+				inner := int32(min(T, spec.K-tk*T))
+				aRef := ArgRef(0, row, int32(tk*T))
+				if w.a >= 0 {
+					g.SetStream(g.Fetch(0, row, int32(tk*T), rows, inner, w.a), stream)
+					aRef = SlotRef(w.a, rows)
+				}
+				bRef := ArgRef(1, int32(tk*T), col)
+				if w.b >= 0 {
+					g.SetStream(g.Fetch(1, int32(tk*T), col, inner, cols, w.b), stream)
+					bRef = SlotRef(w.b, inner)
+				}
+				beta := 1.0
+				if tk == 0 {
+					beta = spec.Beta
+					if w.c >= 0 && !fetchC {
+						beta = 0
+					}
+				}
+				g.SetStream(g.Gemm(blas.NoTrans, blas.NoTrans, rows, cols, inner,
+					AlphaPlan, betaSel(beta), aRef, bRef, cRef), stream)
+			}
+			if w.c >= 0 {
+				g.SetStream(g.Writeback(w.c, 2, row, col, rows, cols), stream)
+			}
+		}
+	}
+	return g.Finish()
+}
+
+// stagingGroup returns the element counts of full A, B and C tiles and
+// the bytes of one staging group: a full tile of every host-resident
+// operand.
+func stagingGroup(spec GemmSpec) (tileA, tileB, tileC, groupBytes int64) {
+	T := spec.T
+	tileA = int64(min(T, spec.M)) * int64(min(T, spec.K))
+	tileB = int64(min(T, spec.K)) * int64(min(T, spec.N))
+	tileC = int64(min(T, spec.M)) * int64(min(T, spec.N))
+	for i, loc := range [...]model.Loc{spec.LocA, spec.LocB, spec.LocC} {
+		if loc == model.OnHost {
+			groupBytes += [...]int64{tileA, tileB, tileC}[i] * spec.Dtype.Size()
+		}
+	}
+	return tileA, tileB, tileC, groupBytes
+}
+
+// groupsFitting returns how many staging groups of groupBytes, each with
+// 1/8 headroom, fit in freeBytes, capped at want (want itself when
+// nothing is staged).
+func groupsFitting(freeBytes, groupBytes int64, want int) int {
+	if groupBytes > 0 {
+		return min(int(freeBytes/(groupBytes+groupBytes/8)), want)
+	}
+	return want
 }
 
 func ceil(a, b int) int { return (a + b - 1) / b }

@@ -96,7 +96,7 @@ func (g *Graph) deps(ids []OpID) {
 func (g *Graph) Fetch(arg int8, row, col, m, n, slot int32, deps ...OpID) OpID {
 	g.deps(deps)
 	o, id := g.b.emit()
-	o.Kind, o.Slot = OpFetch, slot
+	o.Kind, o.Slot, o.Stream = OpFetch, slot, sH2D
 	o.A = argRef(arg, row, col)
 	o.M, o.N = m, n
 	g.b.p.BytesH2D += int64(m) * int64(n) * g.b.p.Dtype.Size()
@@ -108,7 +108,7 @@ func (g *Graph) Fetch(arg int8, row, col, m, n, slot int32, deps ...OpID) OpID {
 func (g *Graph) FetchVec(arg int8, off, m, slot int32, deps ...OpID) OpID {
 	g.deps(deps)
 	o, id := g.b.emit()
-	o.Kind, o.Slot = OpFetch, slot
+	o.Kind, o.Slot, o.Stream = OpFetch, slot, sH2D
 	o.A, o.M = argRef(arg, off, 0), m
 	g.b.p.BytesH2D += int64(m) * g.b.p.Dtype.Size()
 	return id
@@ -119,7 +119,7 @@ func (g *Graph) FetchVec(arg int8, off, m, slot int32, deps ...OpID) OpID {
 func (g *Graph) Writeback(slot int32, arg int8, row, col, m, n int32, deps ...OpID) OpID {
 	g.deps(deps)
 	o, id := g.b.emit()
-	o.Kind, o.Slot = OpWriteback, slot
+	o.Kind, o.Slot, o.Stream = OpWriteback, slot, sD2H
 	o.A = argRef(arg, row, col)
 	o.M, o.N = m, n
 	g.b.p.BytesD2H += int64(m) * int64(n) * g.b.p.Dtype.Size()
@@ -131,26 +131,35 @@ func (g *Graph) Writeback(slot int32, arg int8, row, col, m, n int32, deps ...Op
 func (g *Graph) WritebackVec(slot int32, arg int8, off, m int32, deps ...OpID) OpID {
 	g.deps(deps)
 	o, id := g.b.emit()
-	o.Kind, o.Slot = OpWriteback, slot
+	o.Kind, o.Slot, o.Stream = OpWriteback, slot, sD2H
 	o.A, o.M = argRef(arg, off, 0), m
 	g.b.p.BytesD2H += int64(m) * g.b.p.Dtype.Size()
 	return id
 }
 
+// kernel emits a kernel op of kind k on the compute stream after deps.
+func (g *Graph) kernel(k Kernel, deps []OpID) (*Op, OpID) {
+	g.deps(deps)
+	o, id := g.b.emit()
+	o.Kind, o.Kernel, o.Stream = OpKernel, k, sComp
+	return o, id
+}
+
+// SetStream moves transfer or kernel op id to stream slot stream. Ops run
+// in emission order on their slot, so a builder that gives each worker its
+// own slot gets in-order worker pipelines without dependency edges.
+func (g *Graph) SetStream(id OpID, stream uint8) { g.b.p.Ops[id].Stream = stream }
+
 // Dispatch emits a dispatch-overhead kernel (duration is the plan's
 // DispatchS); it does not count as a sub-kernel.
 func (g *Graph) Dispatch(deps ...OpID) OpID {
-	g.deps(deps)
-	o, id := g.b.emit()
-	o.Kind, o.Kernel = OpKernel, KDispatch
+	_, id := g.kernel(KDispatch, deps)
 	return id
 }
 
 // Gemm emits C = alpha*op(A)*op(B) + beta*C over tile refs.
 func (g *Graph) Gemm(transA, transB byte, m, n, k int32, alpha AlphaSel, beta BetaSel, a, b, c Ref, deps ...OpID) OpID {
-	g.deps(deps)
-	o, id := g.b.emit()
-	o.Kind, o.Kernel = OpKernel, KGemm
+	o, id := g.kernel(KGemm, deps)
 	o.TransA, o.TransB = transA, transB
 	o.M, o.N, o.K = m, n, k
 	o.Alpha, o.Beta = alpha, beta
@@ -161,9 +170,7 @@ func (g *Graph) Gemm(transA, transB byte, m, n, k int32, alpha AlphaSel, beta Be
 
 // Gemv emits y = alpha*A*x + beta*y over tile refs.
 func (g *Graph) Gemv(m, n int32, beta BetaSel, a, x, y Ref, deps ...OpID) OpID {
-	g.deps(deps)
-	o, id := g.b.emit()
-	o.Kind, o.Kernel = OpKernel, KGemv
+	o, id := g.kernel(KGemv, deps)
 	o.TransA = blas.NoTrans
 	o.M, o.N = m, n
 	o.Beta = beta
@@ -174,9 +181,7 @@ func (g *Graph) Gemv(m, n int32, beta BetaSel, a, x, y Ref, deps ...OpID) OpID {
 
 // Axpy emits y += alpha*x over vector refs.
 func (g *Graph) Axpy(n int32, x, y Ref, deps ...OpID) OpID {
-	g.deps(deps)
-	o, id := g.b.emit()
-	o.Kind, o.Kernel = OpKernel, KAxpy
+	o, id := g.kernel(KAxpy, deps)
 	o.N = n
 	o.A, o.B, o.C = x, noRef, y
 	g.b.p.Subkernels++
@@ -186,9 +191,7 @@ func (g *Graph) Axpy(n int32, x, y Ref, deps ...OpID) OpID {
 // Potrf emits the in-place Cholesky factorization of the n x n tile a
 // (the referenced triangle per uplo).
 func (g *Graph) Potrf(uplo byte, n int32, a Ref, deps ...OpID) OpID {
-	g.deps(deps)
-	o, id := g.b.emit()
-	o.Kind, o.Kernel = OpKernel, KPotrf
+	o, id := g.kernel(KPotrf, deps)
 	o.Uplo, o.N = uplo, n
 	o.A, o.B, o.C = a, noRef, noRef
 	g.b.p.Subkernels++
@@ -197,9 +200,7 @@ func (g *Graph) Potrf(uplo byte, n int32, a Ref, deps ...OpID) OpID {
 
 // Getrf emits the in-place unpivoted LU factorization of the n x n tile a.
 func (g *Graph) Getrf(n int32, a Ref, deps ...OpID) OpID {
-	g.deps(deps)
-	o, id := g.b.emit()
-	o.Kind, o.Kernel = OpKernel, KGetrf
+	o, id := g.kernel(KGetrf, deps)
 	o.N = n
 	o.A, o.B, o.C = a, noRef, noRef
 	g.b.p.Subkernels++
@@ -209,9 +210,7 @@ func (g *Graph) Getrf(n int32, a Ref, deps ...OpID) OpID {
 // Trsm emits the triangular tile solve op(A)*X = alpha*B (side L) or
 // X*op(A) = alpha*B (side R), overwriting B.
 func (g *Graph) Trsm(side, uplo, transA, diag byte, m, n int32, alpha AlphaSel, a, b Ref, deps ...OpID) OpID {
-	g.deps(deps)
-	o, id := g.b.emit()
-	o.Kind, o.Kernel = OpKernel, KTrsm
+	o, id := g.kernel(KTrsm, deps)
 	o.Side, o.Uplo, o.TransA, o.Diag = side, uplo, transA, diag
 	o.M, o.N = m, n
 	o.Alpha = alpha
@@ -223,9 +222,7 @@ func (g *Graph) Trsm(side, uplo, transA, diag byte, m, n int32, alpha AlphaSel, 
 // Syrk emits the symmetric rank-k tile update
 // C = alpha*A*A^T + beta*C (trans 'N') or alpha*A^T*A + beta*C (trans 'T').
 func (g *Graph) Syrk(uplo, trans byte, n, k int32, alpha AlphaSel, beta BetaSel, a, c Ref, deps ...OpID) OpID {
-	g.deps(deps)
-	o, id := g.b.emit()
-	o.Kind, o.Kernel = OpKernel, KSyrk
+	o, id := g.kernel(KSyrk, deps)
 	o.Uplo, o.TransA = uplo, trans
 	o.N, o.K = n, k
 	o.Alpha, o.Beta = alpha, beta

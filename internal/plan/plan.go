@@ -29,9 +29,8 @@ import (
 	"cocopelia/internal/model"
 )
 
-// Kind is the operation class of one plan op. The executing stream is
-// implied: fetches run on the h2d stream, write-backs on the d2h stream,
-// kernels on the compute stream, and allocations touch no stream.
+// Kind is the operation class of one plan op. Allocations touch no
+// stream; transfers and kernels run on their op's stream slot.
 type Kind uint8
 
 // The op kinds.
@@ -41,6 +40,27 @@ const (
 	OpKernel
 	OpWriteback
 )
+
+// The default stream slots, which every builder but the cuBLASXt one uses:
+// fetches run on the h2d stream, write-backs on the d2h stream and kernels
+// on the compute stream. A replay target lists its streams in slot order.
+const (
+	sH2D  = uint8(machine.H2D)
+	sD2H  = uint8(machine.D2H)
+	sComp = 2
+)
+
+// defaultStream returns the stream slot ops of kind k run on unless their
+// builder places them elsewhere.
+func defaultStream(k Kind) uint8 {
+	switch k {
+	case OpWriteback:
+		return sD2H
+	case OpKernel:
+		return sComp
+	}
+	return sH2D
+}
 
 // Kernel is the kernel sub-kind of an OpKernel op.
 type Kernel uint8
@@ -124,6 +144,8 @@ const (
 //     window (operand index and element coordinates); N == 0 marks a 1-D
 //     vector transfer of M elements. The byte volume is derived, not
 //     stored (see Plan.opBytes).
+//   - Stream is the in-order stream slot a transfer or kernel runs on
+//     (see defaultStream).
 //
 // Dependencies reference earlier op ids and are stored in the plan's
 // shared arena.
@@ -137,6 +159,7 @@ type Op struct {
 	// factorization kernels (KTrsm uses all three, KPotrf/KSyrk use Uplo);
 	// the flat BLAS kinds leave them zero.
 	Side, Uplo, Diag byte
+	Stream           uint8
 	Slot             int32
 	M, N, K          int32
 	A, B, C          Ref
@@ -199,8 +222,9 @@ type Slot struct {
 // Plan is one routine invocation in IR form.
 type Plan struct {
 	// Routine identifies the schedule family: "gemm", "gemm-noreuse",
-	// "gemv", "axpy", or one of the factorization task graphs "cholesky",
-	// "lu" and "trsm".
+	// "gemv", "axpy", one of the factorization task graphs "cholesky",
+	// "lu" and "trsm", or one of the comparator schedules "gemm-cublasxt"
+	// and "axpy-unified".
 	Routine        string
 	Dtype          kernelmodel.Dtype
 	TransA, TransB byte
@@ -343,7 +367,7 @@ func argNames(routine string) []string {
 	switch routine {
 	case "gemv":
 		return []string{"A", "x", "y"}
-	case "axpy":
+	case "axpy", "axpy-unified":
 		return []string{"x", "y"}
 	case "cholesky", "lu":
 		return []string{"A"}
@@ -391,8 +415,9 @@ func refString(r Ref, names []string) string {
 }
 
 // Dump renders the plan as deterministic text: one line per slot and op,
-// with ids, kinds, shapes, dependency edges and byte volumes. The format
-// is stable — golden tests and the cocomodel -dump-plan flag both pin it.
+// with ids, kinds, shapes, stream slots that differ from the kind's
+// default, dependency edges and byte volumes. The format is stable —
+// golden tests and the cocomodel -dump-plan flag both pin it.
 func (p *Plan) Dump() string {
 	var sb strings.Builder
 	names := argNames(p.Routine)
@@ -406,6 +431,9 @@ func (p *Plan) Dump() string {
 	fmt.Fprintf(&sb, "ops %d\n", len(p.Ops))
 	for i := range p.Ops {
 		fmt.Fprintf(&sb, "  o%d %s", i, opString(p, int32(i), names))
+		if o := &p.Ops[i]; o.Stream != defaultStream(o.Kind) {
+			fmt.Fprintf(&sb, " stream=%d", o.Stream)
+		}
 		if deps := p.Deps(i); len(deps) > 0 {
 			sb.WriteString(" deps=[")
 			for j, d := range deps {

@@ -327,6 +327,138 @@ ops 24
 volumes h2d=224 d2h=128 subkernels=6
 `
 
+// goldenCuBLASXt pins the cuBLASXt schedule at 4 workers, one output tile
+// each: every op of worker w runs on stream slot w (printed where it
+// differs from the kind's default slot), A and B are re-fetched for every
+// sub-kernel into the worker's slots, and each C tile is fetched once
+// (beta != 0) and written back once.
+const goldenCuBLASXt = `plan gemm-cublasxt dtype=f64 trans=nn m=4 n=4 k=4 T=2 alpha=1 beta=1 locs=HHH
+slots 12
+  s0 f64 elems=4
+  s1 f64 elems=4
+  s2 f64 elems=4
+  s3 f64 elems=4
+  s4 f64 elems=4
+  s5 f64 elems=4
+  s6 f64 elems=4
+  s7 f64 elems=4
+  s8 f64 elems=4
+  s9 f64 elems=4
+  s10 f64 elems=4
+  s11 f64 elems=4
+ops 44
+  o0 alloc s0
+  o1 alloc s1
+  o2 alloc s2
+  o3 alloc s3
+  o4 alloc s4
+  o5 alloc s5
+  o6 alloc s6
+  o7 alloc s7
+  o8 alloc s8
+  o9 alloc s9
+  o10 alloc s10
+  o11 alloc s11
+  o12 fetch C[0,0 2x2] -> s2 bytes=32
+  o13 fetch A[0,0 2x2] -> s0 bytes=32
+  o14 fetch B[0,0 2x2] -> s1 bytes=32
+  o15 gemm nn m=2 n=2 k=2 alpha=1 beta=1 A=s0(ld=2) B=s1(ld=2) C=s2(ld=2) stream=0
+  o16 fetch A[0,2 2x2] -> s0 bytes=32
+  o17 fetch B[2,0 2x2] -> s1 bytes=32
+  o18 gemm nn m=2 n=2 k=2 alpha=1 beta=1 A=s0(ld=2) B=s1(ld=2) C=s2(ld=2) stream=0
+  o19 writeback s2 -> C[0,0 2x2] bytes=32 stream=0
+  o20 fetch C[2,0 2x2] -> s5 bytes=32 stream=1
+  o21 fetch A[2,0 2x2] -> s3 bytes=32 stream=1
+  o22 fetch B[0,0 2x2] -> s4 bytes=32 stream=1
+  o23 gemm nn m=2 n=2 k=2 alpha=1 beta=1 A=s3(ld=2) B=s4(ld=2) C=s5(ld=2) stream=1
+  o24 fetch A[2,2 2x2] -> s3 bytes=32 stream=1
+  o25 fetch B[2,0 2x2] -> s4 bytes=32 stream=1
+  o26 gemm nn m=2 n=2 k=2 alpha=1 beta=1 A=s3(ld=2) B=s4(ld=2) C=s5(ld=2) stream=1
+  o27 writeback s5 -> C[2,0 2x2] bytes=32
+  o28 fetch C[0,2 2x2] -> s8 bytes=32 stream=2
+  o29 fetch A[0,0 2x2] -> s6 bytes=32 stream=2
+  o30 fetch B[0,2 2x2] -> s7 bytes=32 stream=2
+  o31 gemm nn m=2 n=2 k=2 alpha=1 beta=1 A=s6(ld=2) B=s7(ld=2) C=s8(ld=2)
+  o32 fetch A[0,2 2x2] -> s6 bytes=32 stream=2
+  o33 fetch B[2,2 2x2] -> s7 bytes=32 stream=2
+  o34 gemm nn m=2 n=2 k=2 alpha=1 beta=1 A=s6(ld=2) B=s7(ld=2) C=s8(ld=2)
+  o35 writeback s8 -> C[0,2 2x2] bytes=32 stream=2
+  o36 fetch C[2,2 2x2] -> s11 bytes=32 stream=3
+  o37 fetch A[2,0 2x2] -> s9 bytes=32 stream=3
+  o38 fetch B[0,2 2x2] -> s10 bytes=32 stream=3
+  o39 gemm nn m=2 n=2 k=2 alpha=1 beta=1 A=s9(ld=2) B=s10(ld=2) C=s11(ld=2) stream=3
+  o40 fetch A[2,2 2x2] -> s9 bytes=32 stream=3
+  o41 fetch B[2,2 2x2] -> s10 bytes=32 stream=3
+  o42 gemm nn m=2 n=2 k=2 alpha=1 beta=1 A=s9(ld=2) B=s10(ld=2) C=s11(ld=2) stream=3
+  o43 writeback s11 -> C[2,2 2x2] bytes=32 stream=3
+volumes h2d=640 d2h=128 subkernels=8
+`
+
+// goldenCuBLASXtMemBound pins the memory-bounded cuBLASXt schedule: 200
+// free bytes fit two 64-byte (A, C) staging groups with their 1/8
+// headroom, so 4 requested workers shrink to 2 and the four output tiles
+// alternate between them. B is device-resident and read in place; beta 0
+// skips the C fetches.
+const goldenCuBLASXtMemBound = `plan gemm-cublasxt dtype=f64 trans=nn m=4 n=4 k=2 T=2 alpha=1 beta=0 locs=HDH
+slots 4
+  s0 f64 elems=4
+  s1 f64 elems=4
+  s2 f64 elems=4
+  s3 f64 elems=4
+ops 16
+  o0 alloc s0
+  o1 alloc s1
+  o2 alloc s2
+  o3 alloc s3
+  o4 fetch A[0,0 2x2] -> s0 bytes=32
+  o5 gemm nn m=2 n=2 k=2 alpha=1 beta=0 A=s0(ld=2) B=B[0,0] C=s1(ld=2) stream=0
+  o6 writeback s1 -> C[0,0 2x2] bytes=32 stream=0
+  o7 fetch A[2,0 2x2] -> s2 bytes=32 stream=1
+  o8 gemm nn m=2 n=2 k=2 alpha=1 beta=0 A=s2(ld=2) B=B[0,0] C=s3(ld=2) stream=1
+  o9 writeback s3 -> C[2,0 2x2] bytes=32
+  o10 fetch A[0,0 2x2] -> s0 bytes=32
+  o11 gemm nn m=2 n=2 k=2 alpha=1 beta=0 A=s0(ld=2) B=B[0,2] C=s1(ld=2) stream=0
+  o12 writeback s1 -> C[0,2 2x2] bytes=32 stream=0
+  o13 fetch A[2,0 2x2] -> s2 bytes=32 stream=1
+  o14 gemm nn m=2 n=2 k=2 alpha=1 beta=0 A=s2(ld=2) B=B[0,2] C=s3(ld=2) stream=1
+  o15 writeback s3 -> C[2,2 2x2] bytes=32
+volumes h2d=128 d2h=128 subkernels=4
+`
+
+// goldenUnified pins the unified-memory daxpy with a ragged last chunk:
+// one staging slot per prefetch chunk (x's mirror, then y's), each kernel
+// waiting on its chunk's last prefetch, and y's write-back queued behind
+// the last kernel.
+const goldenUnified = `plan axpy-unified dtype=f64 trans=nn m=0 n=5 k=0 T=2 alpha=1.1 beta=0 locs=HH
+slots 6
+  s0 f64 elems=2
+  s1 f64 elems=2
+  s2 f64 elems=1
+  s3 f64 elems=2
+  s4 f64 elems=2
+  s5 f64 elems=1
+ops 18
+  o0 alloc s0
+  o1 alloc s1
+  o2 alloc s2
+  o3 alloc s3
+  o4 alloc s4
+  o5 alloc s5
+  o6 fetch x[0:+2] -> s0 bytes=16
+  o7 fetch y[0:+2] -> s3 bytes=16
+  o8 axpy n=2 alpha=1.1 x=s0 y=s3 deps=[o7]
+  o9 fetch x[2:+2] -> s1 bytes=16
+  o10 fetch y[2:+2] -> s4 bytes=16
+  o11 axpy n=2 alpha=1.1 x=s1 y=s4 deps=[o10]
+  o12 fetch x[4:+1] -> s2 bytes=8
+  o13 fetch y[4:+1] -> s5 bytes=8
+  o14 axpy n=1 alpha=1.1 x=s2 y=s5 deps=[o13]
+  o15 writeback s3 -> y[0:+2] bytes=16 deps=[o14]
+  o16 writeback s4 -> y[2:+2] bytes=16
+  o17 writeback s5 -> y[4:+1] bytes=8
+volumes h2d=80 d2h=40 subkernels=3
+`
+
 func TestGoldenPlans(t *testing.T) {
 	H, D := model.OnHost, model.OnDevice
 	cases := []struct {
@@ -360,6 +492,13 @@ func TestGoldenPlans(t *testing.T) {
 			N: 6, LocA: H, T: 2}), goldenLU},
 		{"trsm", BuildTrsm(TrsmSpec{Dtype: kernelmodel.F64, Diag: blas.NonUnit,
 			M: 4, N: 4, Alpha: 1, LocA: H, LocB: H, T: 2}), goldenTrsm},
+		{"cublasxt", BuildCuBLASXt(GemmSpec{Dtype: kernelmodel.F64,
+			M: 4, N: 4, K: 4, Alpha: 1, Beta: 1,
+			LocA: H, LocB: H, LocC: H, T: 2}, 4, 1<<30), goldenCuBLASXt},
+		{"cublasxt-membound", BuildCuBLASXt(GemmSpec{Dtype: kernelmodel.F64,
+			M: 4, N: 4, K: 2, Alpha: 1, Beta: 0,
+			LocA: H, LocB: D, LocC: H, T: 2}, 4, 200), goldenCuBLASXtMemBound},
+		{"unified", BuildUnifiedAxpy(AxpySpec{N: 5, Alpha: 1.1, LocX: H, LocY: H, T: 2}), goldenUnified},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -399,6 +538,10 @@ func planBattery() map[string]*Plan {
 		"lu":            BuildLU(LUSpec{Dtype: kernelmodel.F64, N: 130, LocA: H, T: 64}),
 		"trsm":          BuildTrsm(TrsmSpec{Dtype: kernelmodel.F64, Diag: blas.NonUnit, M: 130, N: 70, Alpha: 0.5, LocA: H, LocB: H, T: 64}),
 		"trsm-unit":     BuildTrsm(TrsmSpec{Dtype: kernelmodel.F64, Diag: blas.Unit, M: 96, N: 64, Alpha: 1, LocA: D, LocB: H, T: 32}),
+		"cublasxt":      BuildCuBLASXt(gemm(nn, nn, 130, 70, 95, 0.5, H, H, H, 64), 4, 1<<30),
+		"cublasxt-dev":  BuildCuBLASXt(gemm(nn, nn, 128, 64, 64, 0, D, H, D, 32), 3, 1<<30),
+		"unified":       BuildUnifiedAxpy(AxpySpec{N: 1000, Alpha: 1.1, LocX: H, LocY: H, T: 384}),
+		"unified-dev":   BuildUnifiedAxpy(AxpySpec{N: 777, Alpha: 0.75, LocX: D, LocY: H, T: 256}),
 	}
 }
 

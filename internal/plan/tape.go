@@ -23,14 +23,6 @@ type Tape struct {
 	graph  *cudart.Graph    // one node per transfer and kernel, in op order
 }
 
-// The graph stream slots the replay target's streams fill: transfers run on
-// the stream of their direction, kernels on the compute stream.
-const (
-	sH2D  = int(machine.H2D)
-	sD2H  = int(machine.D2H)
-	sComp = 2
-)
-
 // tapeNames is the kernel-name table graph kernel nodes index into;
 // keeping the string out of the node makes the node array pointer-free, so
 // tapes are never scanned by the garbage collector.
@@ -98,19 +90,21 @@ func (m *tapeMemo) get(key int64, eval func() float64) float64 {
 
 // compileTape lowers a plan to its tape, evaluating each kernel's duration
 // once per distinct shape. Graph nodes are the plan's transfer and kernel
-// ops in op order; each node's dependencies are its op's recorded
-// dependencies, in order, and its stream predecessor is the previous op on
-// the same stream — exactly the waits the stream calls of direct
-// scheduling register.
+// ops in op order, on their ops' stream slots (at least the three default
+// ones); each node's dependencies are its op's recorded dependencies, in
+// order, and its stream predecessor is the previous op on the same stream
+// — exactly the waits the stream calls of direct scheduling register.
 func compileTape(p *Plan, gpu *machine.GPUSpec) *Tape {
-	allocs := 0
+	allocs, streams := 0, int(sComp)+1
 	for i := range p.Ops {
-		if p.Ops[i].Kind == OpAlloc {
+		if o := &p.Ops[i]; o.Kind == OpAlloc {
 			allocs++
+		} else if int(o.Stream) >= streams {
+			streams = int(o.Stream) + 1
 		}
 	}
 	t := &Tape{gpu: gpu, p: p, allocs: make([]int32, 0, allocs),
-		graph: cudart.NewGraph(tapeNames[:], len(p.Ops)-allocs, len(p.deps))}
+		graph: cudart.NewGraph(tapeNames[:], streams, len(p.Ops)-allocs, len(p.deps))}
 	node := make([]int32, len(p.Ops)) // op id -> graph node, -1 for allocs
 	var deps []int32
 	// One memo per kernel kind: factorization plans mix GEMM, TRSM, SYRK and
@@ -133,16 +127,16 @@ func compileTape(p *Plan, gpu *machine.GPUSpec) *Tape {
 		}
 		switch o.Kind {
 		case OpFetch:
-			node[i] = t.graph.AddTransfer(sH2D, machine.H2D, tapeBytes(p, o), deps)
+			node[i] = t.graph.AddTransfer(int(o.Stream), machine.H2D, tapeBytes(p, o), deps)
 		case OpWriteback:
-			node[i] = t.graph.AddTransfer(sD2H, machine.D2H, tapeBytes(p, o), deps)
+			node[i] = t.graph.AddTransfer(int(o.Stream), machine.D2H, tapeBytes(p, o), deps)
 		case OpKernel:
 			name, dur := kernelOf(p, o, gpu, &memos)
-			node[i] = t.graph.AddKernel(sComp, name, dur, deps)
+			node[i] = t.graph.AddKernel(int(o.Stream), name, dur, deps)
 		}
 	}
 	for _, id := range p.TailH2D {
-		t.graph.TailWait(sH2D, node[id])
+		t.graph.TailWait(int(sH2D), node[id])
 	}
 	for _, id := range p.TailComp {
 		t.graph.TailWait(sComp, node[id])
@@ -196,6 +190,10 @@ func tapeBytes(p *Plan, o *Op) int64 {
 	}
 	return elems * p.Slots[o.Slot].Dtype.Size()
 }
+
+// Streams returns the number of stream slots the tape's graph spreads over;
+// a replay target must supply a stream for each.
+func (t *Tape) Streams() int { return t.graph.Streams() }
 
 // kernelSeconds sums the tape's kernel durations in op order.
 func (t *Tape) kernelSeconds() float64 { return t.graph.KernelSeconds() }

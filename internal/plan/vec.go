@@ -158,3 +158,61 @@ func BuildAxpy(spec AxpySpec) *Plan {
 	}
 	return g.Finish()
 }
+
+// BuildUnifiedAxpy emits the schedule of the unified-memory daxpy
+// comparator (internal/libs/unified) with a prefetch granularity of spec.T
+// elements. Every chunk of a host-resident operand is prefetched, in
+// chunk order, x before y, into its own staging slot (together the
+// operand's managed mirror, acquired whole before the run); each chunk's
+// kernel waits for the chunk's last prefetch. A host-resident y migrates
+// back only after the last kernel, chunk by chunk, so the write-back
+// overlaps no compute.
+func BuildUnifiedAxpy(spec AxpySpec) *Plan {
+	p := &Plan{
+		Routine: "axpy-unified", Dtype: kernelmodel.F64,
+		TransA: blas.NoTrans, TransB: blas.NoTrans,
+		N: spec.N, T: spec.T,
+		Alpha: spec.Alpha,
+		Locs:  []model.Loc{spec.LocX, spec.LocY},
+	}
+	g := NewGraph(p)
+	chunks := ceil(spec.N, spec.T)
+	chunk := func(ci int) (off, n int32) {
+		return int32(ci * spec.T), int32(min(spec.T, spec.N-ci*spec.T))
+	}
+	mirror := func(arg int8) []int32 {
+		if p.Locs[arg] == model.OnDevice {
+			return nil
+		}
+		slots := make([]int32, chunks)
+		for ci := range slots {
+			_, n := chunk(ci)
+			slots[ci] = g.Slot(kernelmodel.F64, int64(n))
+			g.Alloc(slots[ci])
+		}
+		return slots
+	}
+	xs, ys := mirror(0), mirror(1)
+
+	last := NoOp
+	for ci := 0; ci < chunks; ci++ {
+		off, n := chunk(ci)
+		ready := NoOp
+		ref := func(arg int8, slots []int32) Ref {
+			if slots == nil {
+				return ArgRef(arg, off, 0)
+			}
+			ready = g.FetchVec(arg, off, n, slots[ci])
+			return SlotRef(slots[ci], 0)
+		}
+		xRef := ref(0, xs)
+		yRef := ref(1, ys)
+		last = g.Axpy(n, xRef, yRef, ready)
+	}
+	for ci, slot := range ys {
+		off, n := chunk(ci)
+		g.WritebackVec(slot, 1, off, n, last)
+		last = NoOp
+	}
+	return g.Finish()
+}

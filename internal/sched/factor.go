@@ -77,7 +77,7 @@ func (c *Context) Cholesky(opts CholeskyOpts) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return c.runPlanSync(p, []plan.Arg{{Mat: opts.A}})
+	return c.RunPlan(p, []plan.Arg{{Mat: opts.A}})
 }
 
 // CholeskyEnqueueWith replays a previously built cholesky plan on the
@@ -90,16 +90,6 @@ func (c *Context) CholeskyEnqueueWith(p *plan.Plan, opts CholeskyOpts) (*Pending
 		return nil, err
 	}
 	return c.enqueuePlan(p, []plan.Arg{{Mat: opts.A}})
-}
-
-// CholeskyWith executes a previously built cholesky plan against an
-// operand of the matching shape.
-func (c *Context) CholeskyWith(p *plan.Plan, opts CholeskyOpts) (Result, error) {
-	pend, err := c.CholeskyEnqueueWith(p, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return c.finishSync(pend)
 }
 
 // LUOpts parameterizes a tiled unpivoted LU invocation: the in-place
@@ -130,7 +120,7 @@ func (c *Context) LU(opts LUOpts) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return c.runPlanSync(p, []plan.Arg{{Mat: opts.A}})
+	return c.RunPlan(p, []plan.Arg{{Mat: opts.A}})
 }
 
 // LUEnqueueWith replays a previously built lu plan without draining the
@@ -143,16 +133,6 @@ func (c *Context) LUEnqueueWith(p *plan.Plan, opts LUOpts) (*PendingGemm, error)
 		return nil, err
 	}
 	return c.enqueuePlan(p, []plan.Arg{{Mat: opts.A}})
-}
-
-// LUWith executes a previously built lu plan against an operand of the
-// matching shape.
-func (c *Context) LUWith(p *plan.Plan, opts LUOpts) (Result, error) {
-	pend, err := c.LUEnqueueWith(p, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return c.finishSync(pend)
 }
 
 // TrsmOpts parameterizes a tiled triangular solve A*X = alpha*B with A
@@ -242,7 +222,7 @@ func (c *Context) Trsm(opts TrsmOpts) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return c.runPlanSync(p, []plan.Arg{{Mat: opts.A}, {Mat: opts.B}})
+	return c.RunPlan(p, []plan.Arg{{Mat: opts.A}, {Mat: opts.B}})
 }
 
 // TrsmEnqueueWith replays a previously built trsm plan without draining
@@ -256,14 +236,4 @@ func (c *Context) TrsmEnqueueWith(p *plan.Plan, opts TrsmOpts) (*PendingGemm, er
 		return nil, err
 	}
 	return c.enqueuePlan(p, []plan.Arg{{Mat: opts.A}, {Mat: opts.B}})
-}
-
-// TrsmWith executes a previously built trsm plan against operands of the
-// matching shape.
-func (c *Context) TrsmWith(p *plan.Plan, opts TrsmOpts) (Result, error) {
-	pend, err := c.TrsmEnqueueWith(p, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return c.finishSync(pend)
 }

@@ -129,7 +129,7 @@ func TestCholeskyVolumesMatchClosedForm(t *testing.T) {
 		if got, want := p.Volumes(), plan.CholeskyVolumes(spec); got != want {
 			t.Errorf("n=%d: plan volumes %+v, closed form %+v", n, got, want)
 		}
-		res, err := c.CholeskyWith(p, opts)
+		res, err := syncRun(c.CholeskyEnqueueWith(p, opts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,19 +230,19 @@ func TestFactorPlanReplayDeterministic(t *testing.T) {
 			if p, err = c.PlanCholesky(chOpts); err != nil {
 				t.Fatal(err)
 			}
-			if ch, err = c.CholeskyWith(p, chOpts); err != nil {
+			if ch, err = syncRun(c.CholeskyEnqueueWith(p, chOpts)); err != nil {
 				t.Fatal(err)
 			}
 			if p, err = c.PlanLU(luOpts); err != nil {
 				t.Fatal(err)
 			}
-			if lu, err = c.LUWith(p, luOpts); err != nil {
+			if lu, err = syncRun(c.LUEnqueueWith(p, luOpts)); err != nil {
 				t.Fatal(err)
 			}
 			if p, err = c.PlanTrsm(trOpts); err != nil {
 				t.Fatal(err)
 			}
-			if tr, err = c.TrsmWith(p, trOpts); err != nil {
+			if tr, err = syncRun(c.TrsmEnqueueWith(p, trOpts)); err != nil {
 				t.Fatal(err)
 			}
 		} else {
@@ -299,14 +299,14 @@ func TestFactorValidation(t *testing.T) {
 	}
 	other := opts
 	other.Diag = blas.Unit
-	if _, err := c.TrsmWith(p, other); err == nil {
+	if _, err := syncRun(c.TrsmEnqueueWith(p, other)); err == nil {
 		t.Error("diag mismatch should error")
 	}
 	ch, err := c.PlanCholesky(CholeskyOpts{Dtype: kernelmodel.F64, N: 64, A: ok, T: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.LUWith(ch, LUOpts{Dtype: kernelmodel.F64, N: 64, A: ok, T: 32}); err == nil {
+	if _, err := syncRun(c.LUEnqueueWith(ch, LUOpts{Dtype: kernelmodel.F64, N: 64, A: ok, T: 32})); err == nil {
 		t.Error("routine mismatch should error")
 	}
 }

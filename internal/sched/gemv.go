@@ -51,8 +51,7 @@ func (c *Context) PlanGemv(opts GemvOpts) (*plan.Plan, error) {
 		M: opts.M, N: opts.N,
 		Alpha: opts.Alpha, Beta: opts.Beta,
 		LocA: opts.A.Loc, LocX: opts.X.Loc, LocY: opts.Y.Loc,
-		T:                 opts.T,
-		BlockingWriteback: c.blockingWriteback,
+		T: opts.T,
 	}), nil
 }
 
@@ -71,7 +70,7 @@ func (c *Context) Gemv(opts GemvOpts) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return c.runPlanSync(p, gemvArgs(opts))
+	return c.RunPlan(p, gemvArgs(opts))
 }
 
 // GemvEnqueueWith replays a previously built gemv plan on the context's
@@ -87,14 +86,4 @@ func (c *Context) GemvEnqueueWith(p *plan.Plan, opts GemvOpts) (*PendingGemm, er
 		return nil, errors.New("sched: gemv plan does not match the invocation")
 	}
 	return c.enqueuePlan(p, gemvArgs(opts))
-}
-
-// GemvWith executes a previously built gemv plan against operands of the
-// matching shape.
-func (c *Context) GemvWith(p *plan.Plan, opts GemvOpts) (Result, error) {
-	pend, err := c.GemvEnqueueWith(p, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return c.finishSync(pend)
 }

@@ -67,14 +67,13 @@ func oracleCtx(backed bool) *Context {
 func dynamicReplay(t *testing.T, c *Context, p *plan.Plan, args []plan.Arg) []*cudart.DevBuffer {
 	t.Helper()
 	gpu := &c.rt.Device().Testbed().GPU
+	streams := c.target(p.TapeFor(gpu).Streams()).Streams
 	slots := make([]*cudart.DevBuffer, len(p.Slots))
 	var pooled []*cudart.DevBuffer
 	events := make([]*cudart.Event, len(p.Ops))
 	for i := range p.Ops {
 		o := &p.Ops[i]
-		var s *cudart.Stream
-		switch o.Kind {
-		case plan.OpAlloc:
+		if o.Kind == plan.OpAlloc {
 			buf, err := c.Acquire(p.Slots[o.Slot].Dtype, p.Slots[o.Slot].Elems)
 			if err != nil {
 				t.Fatal(err)
@@ -82,20 +81,15 @@ func dynamicReplay(t *testing.T, c *Context, p *plan.Plan, args []plan.Arg) []*c
 			slots[o.Slot] = buf
 			pooled = append(pooled, buf)
 			continue
-		case plan.OpFetch:
-			s = c.h2d
-		case plan.OpWriteback:
-			s = c.d2h
-		default:
-			s = c.comp
 		}
+		s := streams[o.Stream]
 		for _, d := range p.Deps(i) {
 			s.WaitEvent(events[d])
 		}
 		var ev *cudart.Event
 		var err error
 		if o.Kind == plan.OpKernel {
-			ev, err = dynamicKernel(c, p, o, args, slots, gpu)
+			ev, err = dynamicKernel(s, p, o, args, slots, gpu)
 		} else {
 			ev, err = dynamicTransfer(s, o, args, slots[o.Slot])
 		}
@@ -163,12 +157,67 @@ func resolveRef(r plan.Ref, args []plan.Arg, slots []*cudart.DevBuffer) operandR
 	return operandRef{buf: a.Vec.Dev, off: int64(r.Row)}
 }
 
-// dynamicKernel enqueues a kernel op on the compute stream: through the
-// BLAS Async wrappers for gemm, gemv and axpy, and as a KernelAsync with
-// the modeled duration (and, when bound, a payload running the reference
-// blas kernel) for the rest.
-func dynamicKernel(c *Context, p *plan.Plan, o *plan.Op, args []plan.Arg, slots []*cudart.DevBuffer, gpu *machine.GPUSpec) (*cudart.Event, error) {
-	s, dt := c.comp, p.Dtype
+// kernelAsync enqueues a kernel through the dynamic op path with its name
+// and modeled duration and, when the output buffer out is backed, a
+// payload running body; a failing body panics (the oracles launch only
+// valid shapes).
+func kernelAsync(s *cudart.Stream, name string, dur float64, out *cudart.DevBuffer, body func() error) (*cudart.Event, error) {
+	if out == nil || !out.Backed() {
+		return s.KernelAsync(name, dur, nil)
+	}
+	return s.KernelAsync(name, dur, func() {
+		if err := body(); err != nil {
+			panic(err)
+		}
+	})
+}
+
+// gemmAsync enqueues C = alpha*op(A)*op(B) + beta*C over device operands
+// through the dynamic op path, named and timed as a plan's gemm kernel
+// node, with the blas body as its payload on backed buffers.
+func gemmAsync(s *cudart.Stream, gpu *machine.GPUSpec, transA, transB byte, m, n, k int,
+	alpha float64, a *cudart.DevBuffer, offA int64, lda int,
+	b *cudart.DevBuffer, offB int64, ldb int,
+	beta float64, c *cudart.DevBuffer, offC int64, ldc int) (*cudart.Event, error) {
+	name := "dgemm"
+	if c.Dtype() == kernelmodel.F32 {
+		name = "sgemm"
+	}
+	return kernelAsync(s, name, kernelmodel.GemmTime(gpu, c.Dtype(), m, n, k), c, func() error {
+		if c.Dtype() == kernelmodel.F32 {
+			return blas.Gemm(transA, transB, m, n, k, float32(alpha), a.F32()[offA:], lda,
+				b.F32()[offB:], ldb, float32(beta), c.F32()[offC:], ldc)
+		}
+		return blas.Gemm(transA, transB, m, n, k, alpha, a.F64()[offA:], lda,
+			b.F64()[offB:], ldb, beta, c.F64()[offC:], ldc)
+	})
+}
+
+// gemvAsync enqueues y = alpha*op(A)*x + beta*y through the dynamic op
+// path, like a plan's gemv kernel node.
+func gemvAsync(s *cudart.Stream, gpu *machine.GPUSpec, trans byte, m, n int, alpha float64,
+	a *cudart.DevBuffer, offA int64, lda int, x *cudart.DevBuffer, offX int64,
+	beta float64, y *cudart.DevBuffer, offY int64) (*cudart.Event, error) {
+	return kernelAsync(s, "gemv", kernelmodel.GemvTime(gpu, kernelmodel.F64, m, n), y, func() error {
+		return blas.Gemv(trans, m, n, alpha, a.F64()[offA:], lda, x.F64()[offX:], 1, beta, y.F64()[offY:], 1)
+	})
+}
+
+// axpyAsync enqueues y += alpha*x through the dynamic op path, like a
+// plan's axpy kernel node.
+func axpyAsync(s *cudart.Stream, gpu *machine.GPUSpec, n int, alpha float64,
+	x *cudart.DevBuffer, offX int64, y *cudart.DevBuffer, offY int64) (*cudart.Event, error) {
+	return kernelAsync(s, "daxpy", kernelmodel.AxpyTime(gpu, kernelmodel.F64, n), y, func() error {
+		return blas.Axpy(n, alpha, x.F64()[offX:], 1, y.F64()[offY:], 1)
+	})
+}
+
+// dynamicKernel enqueues a kernel op on its stream s through the dynamic
+// op path: gemm, gemv and axpy through the helpers above, the rest as a
+// KernelAsync with the modeled duration and, when bound, a payload
+// running the reference blas kernel.
+func dynamicKernel(s *cudart.Stream, p *plan.Plan, o *plan.Op, args []plan.Arg, slots []*cudart.DevBuffer, gpu *machine.GPUSpec) (*cudart.Event, error) {
+	dt := p.Dtype
 	alpha := map[plan.AlphaSel]float64{plan.AlphaPlan: p.Alpha, plan.AlphaOne: 1, plan.AlphaNegOne: -1}[o.Alpha]
 	beta := map[plan.BetaSel]float64{plan.BetaZero: 0, plan.BetaOne: 1, plan.BetaPlan: p.Beta}[o.Beta]
 	name := func(d, s string) string {
@@ -190,17 +239,17 @@ func dynamicKernel(c *Context, p *plan.Plan, o *plan.Op, args []plan.Arg, slots 
 		return s.KernelAsync("dispatch", p.DispatchS, nil)
 	case plan.KGemm:
 		if args != nil {
-			return s.GemmAsync(o.TransA, o.TransB, m, n, k, alpha, a.buf, a.off, a.ld, b.buf, b.off, b.ld, beta, cc.buf, cc.off, cc.ld)
+			return gemmAsync(s, gpu, o.TransA, o.TransB, m, n, k, alpha, a.buf, a.off, a.ld, b.buf, b.off, b.ld, beta, cc.buf, cc.off, cc.ld)
 		}
 		kname, dur = name("dgemm", "sgemm"), kernelmodel.GemmTime(gpu, dt, m, n, k)
 	case plan.KGemv:
 		if args != nil {
-			return s.GemvAsync(o.TransA, m, n, alpha, a.buf, a.off, a.ld, b.buf, b.off, beta, cc.buf, cc.off)
+			return gemvAsync(s, gpu, o.TransA, m, n, alpha, a.buf, a.off, a.ld, b.buf, b.off, beta, cc.buf, cc.off)
 		}
 		kname, dur = "gemv", kernelmodel.GemvTime(gpu, kernelmodel.F64, m, n)
 	case plan.KAxpy:
 		if args != nil {
-			return s.AxpyAsync(n, alpha, a.buf, a.off, cc.buf, cc.off)
+			return axpyAsync(s, gpu, n, alpha, a.buf, a.off, cc.buf, cc.off)
 		}
 		kname, dur = "daxpy", kernelmodel.AxpyTime(gpu, kernelmodel.F64, n)
 	case plan.KPotrf:
@@ -235,7 +284,8 @@ func dynamicKernel(c *Context, p *plan.Plan, o *plan.Op, args []plan.Arg, slots 
 // graphReplay launches the plan through the context's executor.
 func graphReplay(t *testing.T, c *Context, p *plan.Plan, args []plan.Arg) []*cudart.DevBuffer {
 	t.Helper()
-	pooled, err := c.exec.Replay(p.TapeFor(&c.rt.Device().Testbed().GPU), c.target(), args)
+	tp := p.TapeFor(&c.rt.Device().Testbed().GPU)
+	pooled, err := c.exec.Replay(tp, c.target(tp.Streams()), args)
 	if err != nil {
 		t.Fatal(err)
 	}

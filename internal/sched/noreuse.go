@@ -66,12 +66,14 @@ func (c *Context) GemmNoReuse(opts GemmOpts) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return c.runPlanSync(p, gemmArgs(opts))
+	return c.RunPlan(p, GemmArgs(opts))
 }
 
 // GemmNoReuseEnqueueWith replays a previously built no-reuse plan on the
-// context's streams without draining the engine (the enqueue-only
-// counterpart of GemmNoReuseWith, mirroring GemmEnqueueWith).
+// context's streams without draining the engine (mirroring
+// GemmEnqueueWith). The plan carries its staging depth, so replay uses the
+// slot ring sized at planning time regardless of the device's current
+// free memory.
 func (c *Context) GemmNoReuseEnqueueWith(p *plan.Plan, opts GemmOpts) (*PendingGemm, error) {
 	if err := c.validateGemmNoReuse(opts); err != nil {
 		return nil, err
@@ -79,17 +81,5 @@ func (c *Context) GemmNoReuseEnqueueWith(p *plan.Plan, opts GemmOpts) (*PendingG
 	if err := matchGemmPlan(p, opts, blas.NoTrans, blas.NoTrans, "gemm-noreuse"); err != nil {
 		return nil, err
 	}
-	return c.enqueuePlan(p, gemmArgs(opts))
-}
-
-// GemmNoReuseWith executes a previously built no-reuse plan against
-// operands of the matching shape. The plan carries its staging depth, so
-// replay uses the slot ring sized at planning time regardless of the
-// device's current free memory.
-func (c *Context) GemmNoReuseWith(p *plan.Plan, opts GemmOpts) (Result, error) {
-	pend, err := c.GemmNoReuseEnqueueWith(p, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return c.finishSync(pend)
+	return c.enqueuePlan(p, GemmArgs(opts))
 }

@@ -21,6 +21,7 @@ import (
 	"cocopelia/internal/machine"
 	"cocopelia/internal/model"
 	"cocopelia/internal/parallel"
+	"cocopelia/internal/plan"
 	"cocopelia/internal/sim"
 )
 
@@ -35,8 +36,16 @@ type refTile struct {
 	live  bool
 }
 
+// gemmKnobs are the comparator scheduling knobs a full-reuse gemm plan can
+// carry (plan.GemmSpec's DispatchOverheadS and BlockingWriteback).
+type gemmKnobs struct {
+	overheadS  float64
+	blockingWB bool
+}
+
 // refGemm is the original GemmEnqueue loop followed by Sync/Finish.
-func refGemm(c *Context, opts GemmOpts) (Result, error) {
+func refGemm(c *Context, opts GemmOpts, knobs gemmKnobs) (Result, error) {
+	gpu := &c.rt.Device().Testbed().GPU
 	dt := opts.Dtype
 	transA, err := normTrans(opts.TransA)
 	if err != nil {
@@ -147,12 +156,12 @@ func refGemm(c *Context, opts GemmOpts) (Result, error) {
 						beta = 0
 					}
 				}
-				if c.overheadS > 0 {
-					if _, err := c.comp.KernelAsync("dispatch", c.overheadS, nil); err != nil {
+				if knobs.overheadS > 0 {
+					if _, err := c.comp.KernelAsync("dispatch", knobs.overheadS, nil); err != nil {
 						return fail(err)
 					}
 				}
-				if _, err := c.comp.GemmAsync(transA, transB,
+				if _, err := gemmAsync(c.comp, gpu, transA, transB,
 					rows, cols, inner, opts.Alpha,
 					aTile.buf, aTile.off, aTile.ld,
 					bTile.buf, bTile.off, bTile.ld,
@@ -169,7 +178,7 @@ func refGemm(c *Context, opts GemmOpts) (Result, error) {
 					return fail(err)
 				}
 				res.BytesD2H += int64(rows) * int64(cols) * dt.Size()
-				if c.blockingWriteback {
+				if knobs.blockingWB {
 					c.comp.WaitEvent(c.d2h.Record())
 				}
 			}
@@ -196,6 +205,7 @@ type refSlotGroup struct {
 
 // refGemmNoReuse is the original stateless-sub-kernel loop.
 func refGemmNoReuse(c *Context, opts GemmOpts) (Result, error) {
+	gpu := &c.rt.Device().Testbed().GPU
 	dt := opts.Dtype
 	T := opts.T
 	mt := ceil(opts.M, T)
@@ -316,7 +326,7 @@ func refGemmNoReuse(c *Context, opts GemmOpts) (Result, error) {
 				}
 
 				c.comp.WaitEvent(c.h2d.Record())
-				if _, err := c.comp.GemmAsync(blas.NoTrans, blas.NoTrans,
+				if _, err := gemmAsync(c.comp, gpu, blas.NoTrans, blas.NoTrans,
 					rows, cols, inner, opts.Alpha,
 					aBuf, aOff, aLd, bBuf, bOff, bLd,
 					beta, cBuf, cOff, cLd); err != nil {
@@ -358,7 +368,8 @@ type refVecChunk struct {
 }
 
 // refGemv is the original level-2 loop.
-func refGemv(c *Context, opts GemvOpts) (Result, error) {
+func refGemv(c *Context, opts GemvOpts, blockingWB bool) (Result, error) {
+	gpu := &c.rt.Device().Testbed().GPU
 	T := opts.T
 	mt := ceil(opts.M, T)
 	nt := ceil(opts.N, T)
@@ -462,7 +473,7 @@ func refGemv(c *Context, opts GemvOpts) (Result, error) {
 					beta = 0
 				}
 			}
-			if _, err := c.comp.GemvAsync(blas.NoTrans, rows, cols, opts.Alpha,
+			if _, err := gemvAsync(c.comp, gpu, blas.NoTrans, rows, cols, opts.Alpha,
 				aBuf, aOff, aLd, xc.buf, xc.off, beta, yBuf, yOff); err != nil {
 				return fail(err)
 			}
@@ -479,7 +490,7 @@ func refGemv(c *Context, opts GemvOpts) (Result, error) {
 				return fail(err)
 			}
 			res.BytesD2H += int64(rows) * 8
-			if c.blockingWriteback {
+			if blockingWB {
 				c.comp.WaitEvent(c.d2h.Record())
 			}
 		}
@@ -498,6 +509,7 @@ func refGemv(c *Context, opts GemvOpts) (Result, error) {
 
 // refAxpy is the original level-1 loop.
 func refAxpy(c *Context, opts AxpyOpts) (Result, error) {
+	gpu := &c.rt.Device().Testbed().GPU
 	res := Result{T: opts.T}
 	start := c.rt.Now()
 	var pooled []*cudart.DevBuffer
@@ -564,7 +576,7 @@ func refAxpy(c *Context, opts AxpyOpts) (Result, error) {
 
 		c.comp.WaitEvent(xReady)
 		c.comp.WaitEvent(yReady)
-		if _, err := c.comp.AxpyAsync(n, opts.Alpha, xBuf, xOff, yBuf, yOff); err != nil {
+		if _, err := axpyAsync(c.comp, gpu, n, opts.Alpha, xBuf, xOff, yBuf, yOff); err != nil {
 			return fail(err)
 		}
 		res.Subkernels++
@@ -679,13 +691,11 @@ func outputVec(t *testing.T, c *Context, v *Vector) []float64 {
 // gemmEquivCase builds one gemm scenario (shared by the reuse and no-reuse
 // suites via the runner argument).
 func gemmEquivCase(name string, m, n, k, T int, transA, transB byte, alpha, beta float64,
-	locs [3]model.Loc, overheadS float64, blockingWB bool,
-	planned func(*Context, GemmOpts) (Result, error),
-	direct func(*Context, GemmOpts) (Result, error)) equivCase {
+	locs [3]model.Loc, knobs gemmKnobs,
+	planned func(*Context, GemmOpts, gemmKnobs) (Result, error),
+	direct func(*Context, GemmOpts, gemmKnobs) (Result, error)) equivCase {
 	return equivCase{name: name, run: func(t *testing.T, c *Context, useDirect bool) (Result, []float64) {
 		t.Helper()
-		c.SetDispatchOverhead(overheadS)
-		c.SetBlockingWriteback(blockingWB)
 		rng := rand.New(rand.NewSource(int64(m + 31*n + 7*k)))
 		ar, ac := m, k
 		if transA == blas.Trans {
@@ -704,7 +714,7 @@ func gemmEquivCase(name string, m, n, k, T int, transA, transB byte, alpha, beta
 		if useDirect {
 			f = direct
 		}
-		res, err := f(c, opts)
+		res, err := f(c, opts, knobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -717,17 +727,27 @@ func gemmEquivCase(name string, m, n, k, T int, transA, transB byte, alpha, beta
 // the comparator knobs (dispatch overhead, blocking write-back).
 func equivCases() []equivCase {
 	H, D := model.OnHost, model.OnDevice
-	gemm := func(c *Context, o GemmOpts) (Result, error) { return c.Gemm(o) }
-	noreuse := func(c *Context, o GemmOpts) (Result, error) { return c.GemmNoReuse(o) }
+	gemm := func(c *Context, o GemmOpts, knobs gemmKnobs) (Result, error) {
+		spec, err := c.GemmSpec(o)
+		if err != nil {
+			return Result{}, err
+		}
+		spec.DispatchOverheadS, spec.BlockingWriteback = knobs.overheadS, knobs.blockingWB
+		return c.RunPlan(plan.BuildGemm(spec), GemmArgs(o))
+	}
+	noreuse := func(c *Context, o GemmOpts, _ gemmKnobs) (Result, error) { return c.GemmNoReuse(o) }
+	refNoReuse := func(c *Context, o GemmOpts, _ gemmKnobs) (Result, error) { return refGemmNoReuse(c, o) }
+	none := gemmKnobs{}
 	cases := []equivCase{
-		gemmEquivCase("gemm/host-ragged", 130, 70, 95, 64, blas.NoTrans, blas.NoTrans, 1.25, 0.5, [3]model.Loc{H, H, H}, 0, false, gemm, refGemm),
-		gemmEquivCase("gemm/beta0", 128, 64, 64, 64, blas.NoTrans, blas.NoTrans, 1, 0, [3]model.Loc{H, H, H}, 0, false, gemm, refGemm),
-		gemmEquivCase("gemm/trans", 90, 110, 70, 64, blas.Trans, blas.Trans, 1, 1, [3]model.Loc{H, H, H}, 0, false, gemm, refGemm),
-		gemmEquivCase("gemm/devA-devC", 128, 128, 128, 64, blas.NoTrans, blas.NoTrans, 1, 1, [3]model.Loc{D, H, D}, 0, false, gemm, refGemm),
-		gemmEquivCase("gemm/blasx-knobs", 130, 70, 95, 64, blas.NoTrans, blas.NoTrans, 1, 1, [3]model.Loc{H, H, H}, 2e-5, true, gemm, refGemm),
-		gemmEquivCase("noreuse/host-ragged", 130, 70, 95, 64, blas.NoTrans, blas.NoTrans, 1.25, 0.5, [3]model.Loc{H, H, H}, 0, false, noreuse, refGemmNoReuse),
-		gemmEquivCase("noreuse/beta0", 128, 64, 64, 64, blas.NoTrans, blas.NoTrans, 1, 0, [3]model.Loc{H, H, H}, 0, false, noreuse, refGemmNoReuse),
-		gemmEquivCase("noreuse/device", 128, 128, 128, 64, blas.NoTrans, blas.NoTrans, 1, 1, [3]model.Loc{D, D, D}, 0, false, noreuse, refGemmNoReuse),
+		gemmEquivCase("gemm/host-ragged", 130, 70, 95, 64, blas.NoTrans, blas.NoTrans, 1.25, 0.5, [3]model.Loc{H, H, H}, none, gemm, refGemm),
+		gemmEquivCase("gemm/beta0", 128, 64, 64, 64, blas.NoTrans, blas.NoTrans, 1, 0, [3]model.Loc{H, H, H}, none, gemm, refGemm),
+		gemmEquivCase("gemm/trans", 90, 110, 70, 64, blas.Trans, blas.Trans, 1, 1, [3]model.Loc{H, H, H}, none, gemm, refGemm),
+		gemmEquivCase("gemm/devA-devC", 128, 128, 128, 64, blas.NoTrans, blas.NoTrans, 1, 1, [3]model.Loc{D, H, D}, none, gemm, refGemm),
+		gemmEquivCase("gemm/blasx-knobs", 130, 70, 95, 64, blas.NoTrans, blas.NoTrans, 1, 1, [3]model.Loc{H, H, H}, gemmKnobs{2e-5, true}, gemm, refGemm),
+		gemmEquivCase("gemm/blasx-devB", 130, 70, 95, 64, blas.NoTrans, blas.NoTrans, 1, 1, [3]model.Loc{H, D, H}, gemmKnobs{4e-6, true}, gemm, refGemm),
+		gemmEquivCase("noreuse/host-ragged", 130, 70, 95, 64, blas.NoTrans, blas.NoTrans, 1.25, 0.5, [3]model.Loc{H, H, H}, none, noreuse, refNoReuse),
+		gemmEquivCase("noreuse/beta0", 128, 64, 64, 64, blas.NoTrans, blas.NoTrans, 1, 0, [3]model.Loc{H, H, H}, none, noreuse, refNoReuse),
+		gemmEquivCase("noreuse/device", 128, 128, 128, 64, blas.NoTrans, blas.NoTrans, 1, 1, [3]model.Loc{D, D, D}, none, noreuse, refNoReuse),
 		{name: "gemv/host-ragged", run: func(t *testing.T, c *Context, direct bool) (Result, []float64) {
 			rng := rand.New(rand.NewSource(17))
 			m, n := 190, 140
@@ -737,7 +757,7 @@ func equivCases() []equivCase {
 			opts := GemvOpts{M: m, N: n, Alpha: 1.5, Beta: 0.25, A: A, X: X, Y: Y, T: 64}
 			f := (*Context).Gemv
 			if direct {
-				f = refGemv
+				f = func(c *Context, o GemvOpts) (Result, error) { return refGemv(c, o, false) }
 			}
 			res, err := f(c, opts)
 			if err != nil {
@@ -746,16 +766,18 @@ func equivCases() []equivCase {
 			return res, outputVec(t, c, Y)
 		}},
 		{name: "gemv/devX-blockingWB", run: func(t *testing.T, c *Context, direct bool) (Result, []float64) {
-			c.SetBlockingWriteback(true)
 			rng := rand.New(rand.NewSource(19))
 			m, n := 150, 130
 			A := equivMat(t, c, m, n, randMat(rng, m, n), model.OnHost)
 			X := equivVec(t, c, n, randMat(rng, n, 1), model.OnDevice)
 			Y := equivVec(t, c, m, randMat(rng, m, 1), model.OnHost)
 			opts := GemvOpts{M: m, N: n, Alpha: 1, Beta: 0, A: A, X: X, Y: Y, T: 64}
-			f := (*Context).Gemv
+			f := func(c *Context, o GemvOpts) (Result, error) {
+				return c.RunPlan(plan.BuildGemv(plan.GemvSpec{M: m, N: n, Alpha: o.Alpha, Beta: o.Beta,
+					LocA: A.Loc, LocX: X.Loc, LocY: Y.Loc, T: o.T, BlockingWriteback: true}), gemvArgs(o))
+			}
 			if direct {
-				f = refGemv
+				f = func(c *Context, o GemvOpts) (Result, error) { return refGemv(c, o, true) }
 			}
 			res, err := f(c, opts)
 			if err != nil {
@@ -856,11 +878,11 @@ func TestPlanReplayReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := cA.GemmWith(p, optsA)
+	r1, err := syncRun(cA.GemmEnqueueWith(p, optsA))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := cA.GemmWith(p, optsA)
+	r2, err := syncRun(cA.GemmEnqueueWith(p, optsA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -891,7 +913,7 @@ func TestPlanReplayReuse(t *testing.T) {
 	bad.N = 80
 	bad.B = equivMat(t, cA, 95, 80, randMat(rand.New(rand.NewSource(6)), 95, 80), model.OnHost)
 	bad.C = equivMat(t, cA, 130, 80, randMat(rand.New(rand.NewSource(7)), 130, 80), model.OnHost)
-	if _, err := cA.GemmWith(p, bad); err == nil {
-		t.Fatal("GemmWith accepted a mismatched plan")
+	if _, err := syncRun(cA.GemmEnqueueWith(p, bad)); err == nil {
+		t.Fatal("GemmEnqueueWith accepted a mismatched plan")
 	}
 }

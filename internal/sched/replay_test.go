@@ -94,7 +94,8 @@ func replayOnce(t *testing.T, backed bool, build func(r replayOperands) (*plan.P
 	if !backed {
 		args = nil
 	}
-	if _, err := c.exec.Replay(p.TapeFor(&c.rt.Device().Testbed().GPU), c.target(), args); err != nil {
+	tp := p.TapeFor(&c.rt.Device().Testbed().GPU)
+	if _, err := c.exec.Replay(tp, c.target(tp.Streams()), args); err != nil {
 		t.Fatal(err)
 	}
 	end, err := c.rt.Sync()
@@ -137,7 +138,6 @@ func replayCases(t *testing.T) []replayCase {
 	gemm := func(dt kernelmodel.Dtype, transA, transB byte, m, n, k, T int, alpha, beta float64,
 		locs [3]model.Loc, dispatch float64, noReuse bool) func(r replayOperands) (*plan.Plan, []plan.Arg) {
 		return func(r replayOperands) (*plan.Plan, []plan.Arg) {
-			r.c.SetDispatchOverhead(dispatch)
 			ar, ac := m, k
 			if transA == blas.Trans {
 				ar, ac = k, m
@@ -162,15 +162,18 @@ func replayCases(t *testing.T) []replayCase {
 					mat.HostF64 = nil
 				}
 			}
-			build := r.c.PlanGemm
-			if noReuse {
-				build = r.c.PlanGemmNoReuse
-			}
-			p, err := build(opts)
+			spec, err := r.c.GemmSpec(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return p, gemmArgs(opts)
+			spec.DispatchOverheadS = dispatch
+			p := plan.BuildGemm(spec)
+			if noReuse {
+				if p, err = r.c.PlanGemmNoReuse(opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return p, GemmArgs(opts)
 		}
 	}
 	gemv := func(locX model.Loc) func(r replayOperands) (*plan.Plan, []plan.Arg) {
@@ -219,6 +222,45 @@ func replayCases(t *testing.T) []replayCase {
 			return p, []plan.Arg{{Mat: opts.A}}
 		}
 	}
+	// The comparator schedules: cuBLASXt's worker streams (workers slots,
+	// fewer when free device memory bounds them) and the unified-memory
+	// daxpy with a ragged last prefetch chunk.
+	cublasxt := func(m, n, k, T, workers int, free int64, beta float64, locs [3]model.Loc) func(r replayOperands) (*plan.Plan, []plan.Arg) {
+		return func(r replayOperands) (*plan.Plan, []plan.Arg) {
+			opts := GemmOpts{Dtype: kernelmodel.F64, M: m, N: n, K: k, Alpha: 1.5, Beta: beta, T: T,
+				A: r.mat(m, k, locs[0], r.random(m, k, 0)),
+				B: r.mat(k, n, locs[1], r.random(k, n, 0)),
+				C: r.mat(m, n, locs[2], r.random(m, n, 0)),
+			}
+			spec, err := r.c.GemmSpec(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return plan.BuildCuBLASXt(spec, workers, free), GemmArgs(opts)
+		}
+	}
+	// BLASX: the full-reuse plan with BLASX's dispatch overhead and
+	// compute-blocking write-backs.
+	blasx := func(r replayOperands) (*plan.Plan, []plan.Arg) {
+		opts := GemmOpts{Dtype: kernelmodel.F64, M: 96, N: 80, K: 72, Alpha: 1, Beta: 1, T: 32,
+			A: r.mat(96, 72, H, r.random(96, 72, 0)),
+			B: r.mat(72, 80, D, r.random(72, 80, 0)),
+			C: r.mat(96, 80, H, r.random(96, 80, 0)),
+		}
+		spec, err := r.c.GemmSpec(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.DispatchOverheadS, spec.BlockingWriteback = 4e-6, true
+		return plan.BuildGemm(spec), GemmArgs(opts)
+	}
+	unified := func(locX, locY model.Loc) func(r replayOperands) (*plan.Plan, []plan.Arg) {
+		return func(r replayOperands) (*plan.Plan, []plan.Arg) {
+			x, y := r.vec(1000, locX), r.vec(1000, locY)
+			p := plan.BuildUnifiedAxpy(plan.AxpySpec{N: 1000, Alpha: 1.1, LocX: locX, LocY: locY, T: 384})
+			return p, []plan.Arg{{Vec: x}, {Vec: y}}
+		}
+	}
 	trsm := func(locA, locB model.Loc) func(r replayOperands) (*plan.Plan, []plan.Arg) {
 		return func(r replayOperands) (*plan.Plan, []plan.Arg) {
 			opts := TrsmOpts{Dtype: kernelmodel.F64, M: 96, N: 64, Alpha: 0.75, T: 32,
@@ -251,6 +293,15 @@ func replayCases(t *testing.T) []replayCase {
 		{"gemm-nt-ddh", gemm(kernelmodel.F64, blas.NoTrans, blas.Trans, 80, 64, 96, 32, 1, 0.5, [3]model.Loc{D, D, H}, 0, false)},
 		{"gemm-tt-hdd", gemm(kernelmodel.F64, blas.Trans, blas.Trans, 64, 80, 96, 32, 0.5, 1, [3]model.Loc{H, D, D}, 0, false)},
 		{"gemm-f64-tn-dispatch-dhh", gemm(kernelmodel.F64, blas.Trans, blas.NoTrans, 96, 64, 64, 32, 1, 1, [3]model.Loc{D, H, H}, 2e-6, false)},
+		{"cublasxt-hhh", cublasxt(96, 80, 72, 32, 4, 1<<40, 1, [3]model.Loc{H, H, H})},
+		{"cublasxt-dhd-beta0-3workers", cublasxt(80, 96, 64, 32, 3, 1<<40, 0, [3]model.Loc{D, H, D})},
+		// 40000 free bytes fit two (A, C) staging groups of 18432 bytes
+		// with headroom: the plan drops to 2 workers.
+		{"cublasxt-hdh-membound", cublasxt(96, 96, 64, 32, 4, 40000, 0, [3]model.Loc{H, D, H})},
+		{"blasx-hdh", blasx},
+		{"unified", unified(H, H)},
+		{"unified-device-x", unified(D, H)},
+		{"unified-device-y", unified(H, D)},
 	}
 }
 
@@ -282,7 +333,7 @@ func tapeFixture(tb testing.TB, m, n, k, T int) (*Context, *plan.Tape) {
 // replayTapeOnce replays the tape, drains the engine and releases the
 // staging buffers back to the pool.
 func replayTapeOnce(tb testing.TB, c *Context, tape *plan.Tape) {
-	pooled, err := c.exec.Replay(tape, c.target(), nil)
+	pooled, err := c.exec.Replay(tape, c.target(tape.Streams()), nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

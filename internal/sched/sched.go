@@ -53,7 +53,7 @@ type poolBucket struct {
 }
 
 // Context holds the reusable state of the CoCoPeLia library on one device:
-// the three operation streams, the tile-buffer pool and the plan executor's
+// the operation streams, the tile-buffer pool and the plan executor's
 // replay scratch. Reusing a Context across calls emulates the paper's
 // iterative use-case (no per-call allocation/stream-creation overhead after
 // the first call).
@@ -65,47 +65,40 @@ type Context struct {
 	pool   []poolBucket
 	backed bool
 
+	// streams lists the streams by plan stream slot: h2d, d2h and compute,
+	// then the further slots a comparator's worker streams need (the
+	// cuBLASXt plan's fourth worker), created on first use and kept.
+	streams []*cudart.Stream
+
 	// exec replays plan tapes onto the streams; it owns the per-call
 	// scratch (graph launch state, slot bindings, acquired-buffer list), so
 	// the replay allocates nothing once the context is warm.
 	exec plan.Executor
-	// overheadS is an optional per-sub-kernel dispatch overhead occupying
-	// the compute pipeline; the CoCoPeLia library leaves it zero, while
-	// comparator wrappers (e.g. the BLASX-style library with its runtime
-	// tile-management engine) use it to model their scheduling cost.
-	overheadS float64
-	// blockingWriteback makes the compute stream wait for each completed
-	// output tile's write-back before starting the next tile — the
-	// synchronization behaviour of tile-manager runtimes that confirm an
-	// output tile's host copy before recycling its cache slot. The
-	// CoCoPeLia library leaves this off (write-backs are fully
-	// asynchronous on the d2h stream).
-	blockingWriteback bool
 }
-
-// SetDispatchOverhead sets the per-sub-kernel dispatch overhead in seconds.
-func (c *Context) SetDispatchOverhead(seconds float64) { c.overheadS = seconds }
-
-// SetBlockingWriteback toggles compute-blocking output write-backs.
-func (c *Context) SetBlockingWriteback(on bool) { c.blockingWriteback = on }
 
 // NewContext creates a scheduler context. backed selects functional runs
 // (real arithmetic on real storage); timing-only runs pass false.
 func NewContext(rt *cudart.Runtime, backed bool) *Context {
-	return &Context{
+	c := &Context{
 		rt:     rt,
 		h2d:    rt.NewStream(),
 		d2h:    rt.NewStream(),
 		comp:   rt.NewStream(),
 		backed: backed,
 	}
+	c.streams = []*cudart.Stream{c.h2d, c.d2h, c.comp}
+	return c
 }
 
 // Runtime returns the underlying CUDA-like runtime.
 func (c *Context) Runtime() *cudart.Runtime { return c.rt }
 
+// Backed reports whether the context runs functionally (real storage and
+// arithmetic).
+func (c *Context) Backed() bool { return c.backed }
+
 // Reset returns the context to its just-created state while keeping its
-// three streams and the executor's replay scratch. The tile pool is
+// streams and the executor's replay scratch. The tile pool is
 // emptied — the pooled buffers are dropped, not freed, because callers
 // reset the device's memory accounting wholesale in the same breath — so
 // the next call's Acquire sequence hits the allocator exactly as a fresh
@@ -119,13 +112,15 @@ func (c *Context) Reset() {
 		}
 		bk.bufs = bk.bufs[:0]
 	}
-	c.overheadS = 0
-	c.blockingWriteback = false
 }
 
-// target is the execution surface plans replay onto.
-func (c *Context) target() plan.Target {
-	return plan.Target{H2D: c.h2d, D2H: c.d2h, Comp: c.comp, Alloc: c}
+// target is the execution surface a tape with the given number of stream
+// slots replays onto.
+func (c *Context) target(streams int) plan.Target {
+	for len(c.streams) < streams {
+		c.streams = append(c.streams, c.rt.NewStream())
+	}
+	return plan.Target{Streams: c.streams, Alloc: c}
 }
 
 // bucket returns the pool bucket for key, or nil.
@@ -328,8 +323,8 @@ func matchGemmPlan(p *plan.Plan, opts GemmOpts, transA, transB byte, routine str
 	return nil
 }
 
-// gemmArgs binds the gemm operands in plan argument order.
-func gemmArgs(opts GemmOpts) []plan.Arg {
+// GemmArgs binds the gemm operands in plan argument order.
+func GemmArgs(opts GemmOpts) []plan.Arg {
 	return []plan.Arg{{Mat: opts.A}, {Mat: opts.B}, {Mat: opts.C}}
 }
 
@@ -376,51 +371,40 @@ func (c *Context) OnDrained(fn func()) {
 // full data reuse and 3-way overlap, then synchronizes and reports the
 // run. Ragged edge tiles (dimensions not divisible by T) are handled.
 func (c *Context) Gemm(opts GemmOpts) (Result, error) {
-	pend, err := c.GemmEnqueue(opts)
+	p, err := c.PlanGemm(opts)
 	if err != nil {
 		return Result{}, err
 	}
-	end, err := c.rt.Sync()
-	res := pend.Finish(end)
-	if err != nil {
-		return Result{}, err
-	}
-	return res, nil
+	return c.RunPlan(p, GemmArgs(opts))
 }
 
-// GemmWith executes a previously built full-reuse gemm plan against
-// operands of the matching shape, synchronizes and reports the run.
-func (c *Context) GemmWith(p *plan.Plan, opts GemmOpts) (Result, error) {
-	pend, err := c.GemmEnqueueWith(p, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	end, err := c.rt.Sync()
-	res := pend.Finish(end)
-	if err != nil {
-		return Result{}, err
-	}
-	return res, nil
-}
-
-// PlanGemm validates the invocation and builds its full-reuse tile plan
-// without touching the streams. The plan depends only on the geometry,
-// tiling size, operand locations and the context's scheduling knobs, so it
-// can be cached and replayed via GemmEnqueueWith/GemmWith.
-func (c *Context) PlanGemm(opts GemmOpts) (*plan.Plan, error) {
+// GemmSpec validates a gemm invocation and returns its planner spec, with
+// the transposes normalized and no comparator knobs set. Comparator
+// libraries start their own plans from it.
+func (c *Context) GemmSpec(opts GemmOpts) (plan.GemmSpec, error) {
 	transA, transB, err := c.validateGemm(opts)
 	if err != nil {
-		return nil, err
+		return plan.GemmSpec{}, err
 	}
-	return plan.BuildGemm(plan.GemmSpec{
+	return plan.GemmSpec{
 		Dtype: opts.Dtype, TransA: transA, TransB: transB,
 		M: opts.M, N: opts.N, K: opts.K,
 		Alpha: opts.Alpha, Beta: opts.Beta,
 		LocA: opts.A.Loc, LocB: opts.B.Loc, LocC: opts.C.Loc,
-		T:                 opts.T,
-		DispatchOverheadS: c.overheadS,
-		BlockingWriteback: c.blockingWriteback,
-	}), nil
+		T: opts.T,
+	}, nil
+}
+
+// PlanGemm validates the invocation and builds its full-reuse tile plan
+// without touching the streams. The plan depends only on the geometry,
+// tiling size and operand locations, so it can be cached and replayed via
+// GemmEnqueueWith.
+func (c *Context) PlanGemm(opts GemmOpts) (*plan.Plan, error) {
+	spec, err := c.GemmSpec(opts)
+	if err != nil {
+		return nil, err
+	}
+	return plan.BuildGemm(spec), nil
 }
 
 // GemmEnqueue builds the full tiled schedule on the context's streams
@@ -430,7 +414,7 @@ func (c *Context) GemmEnqueue(opts GemmOpts) (*PendingGemm, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.replayGemm(p, opts)
+	return c.enqueuePlan(p, GemmArgs(opts))
 }
 
 // GemmEnqueueWith replays a previously built full-reuse gemm plan on the
@@ -445,12 +429,7 @@ func (c *Context) GemmEnqueueWith(p *plan.Plan, opts GemmOpts) (*PendingGemm, er
 	if err := matchGemmPlan(p, opts, transA, transB, "gemm"); err != nil {
 		return nil, err
 	}
-	return c.replayGemm(p, opts)
-}
-
-// replayGemm runs a validated plan and wraps the pending result.
-func (c *Context) replayGemm(p *plan.Plan, opts GemmOpts) (*PendingGemm, error) {
-	return c.enqueuePlan(p, gemmArgs(opts))
+	return c.enqueuePlan(p, GemmArgs(opts))
 }
 
 // enqueuePlan replays a validated plan's tape on the context's streams
@@ -463,26 +442,25 @@ func (c *Context) enqueuePlan(p *plan.Plan, args []plan.Arg) (*PendingGemm, erro
 	if !c.backed {
 		args = nil
 	}
-	pooled, err := c.exec.Replay(p.TapeFor(&c.rt.Device().Testbed().GPU), c.target(), args)
+	t := p.TapeFor(&c.rt.Device().Testbed().GPU)
+	pooled, err := c.exec.Replay(t, c.target(t.Streams()), args)
 	if err != nil {
 		return nil, err
 	}
 	return &PendingGemm{ctx: c, res: res, pooled: pooled, start: start}, nil
 }
 
-// runPlanSync replays a plan, drains the engine and reports the run (the
-// shared tail of every run-to-completion entry point).
-func (c *Context) runPlanSync(p *plan.Plan, args []plan.Arg) (Result, error) {
+// RunPlan replays a plan on the context, drains the engine and reports the
+// run: the one run-to-completion path, shared by every routine here and by
+// the comparator libraries, which build their plans themselves. args binds
+// the plan operands in argument order; the caller has validated them
+// against the plan. Staging comes from the context pool and returns to it,
+// also when the run fails.
+func (c *Context) RunPlan(p *plan.Plan, args []plan.Arg) (Result, error) {
 	pend, err := c.enqueuePlan(p, args)
 	if err != nil {
 		return Result{}, err
 	}
-	return c.finishSync(pend)
-}
-
-// finishSync drains the engine and settles an enqueued run (the shared
-// tail of the *With entry points, after their Enqueue variants return).
-func (c *Context) finishSync(pend *PendingGemm) (Result, error) {
 	end, err := c.rt.Sync()
 	res := pend.Finish(end)
 	if err != nil {
@@ -537,12 +515,11 @@ func (c *Context) Axpy(opts AxpyOpts) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return c.runPlanSync(p, []plan.Arg{{Vec: opts.X}, {Vec: opts.Y}})
+	return c.RunPlan(p, []plan.Arg{{Vec: opts.X}, {Vec: opts.Y}})
 }
 
 // AxpyEnqueueWith replays a previously built axpy plan on the context's
-// streams without draining the engine (the enqueue-only counterpart of
-// AxpyWith, mirroring GemmEnqueueWith).
+// streams without draining the engine (mirroring GemmEnqueueWith).
 func (c *Context) AxpyEnqueueWith(p *plan.Plan, opts AxpyOpts) (*PendingGemm, error) {
 	if err := c.validateAxpy(opts); err != nil {
 		return nil, err
@@ -553,14 +530,4 @@ func (c *Context) AxpyEnqueueWith(p *plan.Plan, opts AxpyOpts) (*PendingGemm, er
 		return nil, errors.New("sched: axpy plan does not match the invocation")
 	}
 	return c.enqueuePlan(p, []plan.Arg{{Vec: opts.X}, {Vec: opts.Y}})
-}
-
-// AxpyWith executes a previously built axpy plan against vectors of the
-// matching shape.
-func (c *Context) AxpyWith(p *plan.Plan, opts AxpyOpts) (Result, error) {
-	pend, err := c.AxpyEnqueueWith(p, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return c.finishSync(pend)
 }

@@ -21,6 +21,20 @@ func newCtx(backed bool) *Context {
 	return NewContext(cudart.New(dev), backed)
 }
 
+// syncRun drains the engine behind an enqueued run and settles it, as
+// RunPlan does: it turns an *EnqueueWith call into a run to completion.
+func syncRun(pend *PendingGemm, err error) (Result, error) {
+	if err != nil {
+		return Result{}, err
+	}
+	end, err := pend.ctx.rt.Sync()
+	res := pend.Finish(end)
+	if err != nil {
+		return Result{}, err
+	}
+	return res, nil
+}
+
 func randMat(rng *rand.Rand, rows, cols int) []float64 {
 	s := make([]float64, rows*cols)
 	for i := range s {
